@@ -62,16 +62,22 @@ let optimize sb =
     ~latency:(Vliw.Config.latency Vliw.Config.default)
     ~fresh_id sb
 
+let run_region ~detector ~machine region =
+  match
+    Vliw.Region_exec.run ~config:Vliw.Config.default ~detector ~machine region
+  with
+  | Ok r -> r
+  | Error rej ->
+    Format.kasprintf failwith "malformed region: %a"
+      Vliw.Region_exec.pp_rejection rej
+
 let execute ~r2 region =
   let machine = Vliw.Machine.create () in
   Vliw.Machine.set_reg machine (Ir.Reg.R 0) 1000;
   Vliw.Machine.set_reg machine (Ir.Reg.R 1) 5000;
   Vliw.Machine.set_reg machine (Ir.Reg.R 2) r2;
   let detector = Hw.Queue.detector (Hw.Queue.create ~size:64) in
-  let r =
-    Vliw.Region_exec.run ~config:Vliw.Config.default ~detector ~machine region
-  in
-  (r, machine)
+  (run_region ~detector ~machine region, machine)
 
 let () =
   let sb = figure2_superblock () in
@@ -109,10 +115,7 @@ let () =
     Format.printf "conservative re-optimization:@.%a@." Ir.Region.pp
       o2.Opt.Optimizer.region;
     let detector = Hw.Queue.detector (Hw.Queue.create ~size:64) in
-    let r2 =
-      Vliw.Region_exec.run ~config:Vliw.Config.default ~detector ~machine
-        o2.Opt.Optimizer.region
-    in
+    let r2 = run_region ~detector ~machine o2.Opt.Optimizer.region in
     (match r2.Vliw.Region_exec.outcome with
     | Vliw.Region_exec.Committed _ ->
       Printf.printf "re-execution committed; f3 = %d (the freshly stored value)\n"

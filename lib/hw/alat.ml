@@ -6,24 +6,30 @@ type entry = {
 type t = {
   capacity : int;
   mutable table : entry list;  (* newest first *)
+  mutable live : int;  (* [List.length table] *)
   mutable checks : int;
 }
 
 let create ?(size = 32) () =
   if size <= 0 then invalid_arg "Alat.create: size must be positive";
-  { capacity = size; table = []; checks = 0 }
+  { capacity = size; table = []; live = 0; checks = 0 }
 
 let size t = t.capacity
-let reset t = t.table <- []
-let live_count t = List.length t.table
+
+let reset t =
+  t.table <- [];
+  t.live <- 0
+
+let live_count t = t.live
 let checks_performed t = t.checks
 
+(* the oldest entry falls off a full table *)
 let insert t e =
-  let table = e :: t.table in
-  t.table <-
-    (if List.length table > t.capacity then
-       List.filteri (fun i _ -> i < t.capacity) table
-     else table)
+  if t.live < t.capacity then begin
+    t.table <- e :: t.table;
+    t.live <- t.live + 1
+  end
+  else t.table <- e :: List.filteri (fun i _ -> i < t.capacity - 1) t.table
 
 (* Stores check every live entry; that blanket check is what makes the
    scheme false-positive prone. *)

@@ -18,9 +18,16 @@
     range held at offset [src] to offset [dst] and clears [src]
     ([src = dst] just clears).
 
-    Internally the queue tracks the monotonically increasing {e order}
-    [base + offset] of every live entry, which is exactly the paper's
-    [order(X) = base(X) + offset(X)] invariant. *)
+    Internally the registers form a ring of [size] slots: the register
+    at logical order [base + offset] (the paper's
+    [order(X) = base(X) + offset(X)] invariant) lives in slot
+    [order mod size].  [reset] is O(1) (a generation stamp invalidates
+    every slot), [rotate] only advances [BASE], and a check scans the
+    orders from the checker's own up to the highest live one, lowest
+    first, stopping at the first conflict.  A violation therefore names
+    the lowest-order conflicting register, and {!checks_performed}
+    counts the qualifying registers compared up to and including that
+    conflict. *)
 
 type t
 

@@ -42,8 +42,22 @@ let scheme_none_with_analysis () =
     detector = Hw.No_detect.detector ();
   }
 
+(* What a cache entry keeps of an installed translation: the
+   predecoded code, and the region's speculation and certification
+   pairs flattened by [pairs_of_list].  The optimizer's [Ir.Region.t]
+   itself is not kept: its assumption lists can run to tens of
+   thousands of pairs, and they are only consulted when a region
+   faults. *)
+type translation = {
+  code : Vliw.Region_exec.decoded;
+  assumed : int array;
+  certified : int array;
+}
+
 type cache_entry = {
-  mutable region : Ir.Region.t;
+  mutable tr : translation;
+      (* replaced on re-optimization, dropped with the entry on
+         eviction *)
   mutable known_alias : (int * int) list;
       (* newest-first, the order handed to the optimizer *)
   known_alias_set : (int * int, unit) Hashtbl.t;
@@ -106,9 +120,22 @@ let no_hooks =
 
 let pair_key (a, b) = if a <= b then (a, b) else (b, a)
 
-let pair_mem pair pairs =
-  let k = pair_key pair in
-  List.exists (fun p -> pair_key p = k) pairs
+(* normalized pairs, flattened: pair [k] at indices [2k] and [2k + 1] *)
+let pairs_of_list pairs =
+  let flat = Array.make (2 * List.length pairs) 0 in
+  List.iteri
+    (fun k (a, b) ->
+      flat.(2 * k) <- Int.min a b;
+      flat.((2 * k) + 1) <- Int.max a b)
+    pairs;
+  flat
+
+let pairs_mem pair a =
+  let x, y = pair_key pair in
+  let rec go k =
+    k < Array.length a && ((a.(k) = x && a.(k + 1) = y) || go (k + 2))
+  in
+  go 0
 
 let known_mem entry pair = Hashtbl.mem entry.known_alias_set (pair_key pair)
 
@@ -211,6 +238,22 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
         false
     end
   in
+  (* A translation is installed only if it passes validation and the
+     region executor accepts it; a rejection degrades its label. *)
+  let installable o =
+    let region = o.Opt.Optimizer.region in
+    if not (verify_artifact o) then None
+    else
+      match Vliw.Region_exec.predecode ~config region with
+      | Error _ -> None
+      | Ok code ->
+        Some
+          {
+            code;
+            assumed = pairs_of_list region.Ir.Region.assumed_no_alias;
+            certified = pairs_of_list region.Ir.Region.certified_no_alias;
+          }
+  in
   (* the scheme's register count governs the allocator; the machine
      must expose at least that many (the region executor guards it) *)
   let policy =
@@ -276,11 +319,12 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
     in
     Stats.note_region_built stats o ~ws;
     charge_optimize o.Opt.Optimizer.stats.Opt.Optimizer.work_units;
-    if verify_artifact o then
+    match installable o with
+    | Some tr ->
       Tcache.Store.insert cache label
         ~size:(Ir.Region.instr_count o.Opt.Optimizer.region)
         {
-          region = o.Opt.Optimizer.region;
+          tr;
           known_alias = [];
           known_alias_set = Hashtbl.create 8;
           pinned = [];
@@ -290,7 +334,7 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
           faults_since_commit = 0;
           sb;
         }
-    else
+    | None ->
       (* the translation failed validation: never install it — the
          label falls back to the interpreter, like a watchdog kill *)
       degrade label
@@ -326,17 +370,17 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
       else optimize_superblock ~known_alias:(known_with_pins entry) entry.sb
     in
     charge_optimize o.Opt.Optimizer.stats.Opt.Optimizer.work_units;
-    if verify_artifact o then begin
-      entry.region <- o.Opt.Optimizer.region;
+    match installable o with
+    | Some tr ->
+      entry.tr <- tr;
       (* the translation changed in place: chains into it stay valid,
          chains out of it are rebuilt against the new schedule *)
-      Tcache.Store.replace cache entry.region.Ir.Region.entry
+      Tcache.Store.replace cache entry.sb.Ir.Superblock.entry
         ~size:(Ir.Region.instr_count o.Opt.Optimizer.region)
-    end
-    else
+    | None ->
       (* the rebuilt translation failed validation: drop the stale
          entry and blacklist the label to interpreter-only execution *)
-      degrade entry.region.Ir.Region.entry
+      degrade entry.sb.Ir.Superblock.entry
   in
   let blocks_left = ref fuel in
   let exception Fuel_done in
@@ -373,8 +417,8 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
     | Some entry ->
       stats.Stats.region_entries <- stats.Stats.region_entries + 1;
       let r =
-        Vliw.Region_exec.run ~config ~detector:scheme.detector ~machine
-          ?cache:data_cache entry.region
+        Vliw.Region_exec.exec ~config ~detector:scheme.detector ~machine
+          ?cache:data_cache entry.tr.code
       in
       stats.Stats.region_cycles <- stats.Stats.region_cycles + r.Vliw.Region_exec.cycles;
       stats.Stats.total_cycles <- stats.Stats.total_cycles + r.Vliw.Region_exec.cycles;
@@ -386,7 +430,7 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
         entry.faults_since_commit <- 0;
         (match next with
         | Some l ->
-          if not (Some l = entry.region.Ir.Region.final_exit) then
+          if not (Some l = Vliw.Region_exec.final_exit entry.tr.code) then
             stats.Stats.side_exits_taken <- stats.Stats.side_exits_taken + 1;
           step ~chain_from:(Some label) l
         | None -> ())
@@ -395,12 +439,12 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
         if hooks.is_injected v then
           stats.Stats.spurious_rollbacks <- stats.Stats.spurious_rollbacks + 1;
         let pair = (v.Hw.Detector.setter, v.Hw.Detector.checker) in
-        if not (pair_mem pair entry.region.Ir.Region.assumed_no_alias) then
+        if not (pairs_mem pair entry.tr.assumed) then
           stats.Stats.rollbacks_not_assumed <-
             stats.Stats.rollbacks_not_assumed + 1;
         if
           (not (hooks.is_injected v))
-          && pair_mem pair entry.region.Ir.Region.certified_no_alias
+          && pairs_mem pair entry.tr.certified
         then
           (* a genuine dynamic conflict on a statically certified pair:
              the rollback recovers the guest, but the certificate was

@@ -166,6 +166,13 @@ val run :
     verdict is recorded in [Stats.verified_regions],
     [Stats.rejected_regions] and the per-rule reject histogram.
 
+    Every installed translation is predecoded once
+    ({!Vliw.Region_exec.predecode}) and the code is kept on its cache
+    entry.  A region the executor rejects as malformed (for example
+    one needing more alias registers than [config] provides) is never
+    installed either: its label is degraded the same way, counted in
+    [Stats.degraded_regions].
+
     [capture], when given, is called once per translation the run
     performs (initial builds, re-optimizations, gave-up rebuilds alike),
     in execution order, with the exact {!Opt.Optimizer.request} the

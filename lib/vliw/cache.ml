@@ -57,7 +57,8 @@ let create (config : config) =
 (* Returns true on hit; inserts the line (LRU) either way. *)
 let touch level ~addr =
   let line = addr / level.cfg.line_bytes in
-  let idx = line mod level.n_sets in
+  (* non-negative for negative addresses too *)
+  let idx = ((line mod level.n_sets) + level.n_sets) mod level.n_sets in
   let set = level.sets.(idx) in
   let hit = List.mem line set in
   let without = List.filter (fun l -> l <> line) set in

@@ -1,7 +1,7 @@
 (** Architectural state: register file and byte-addressed sparse memory,
     with checkpoint/rollback support for atomic-region execution.
 
-    Registers live in dense arrays indexed by register number; memory is
+    Registers live in one dense array indexed by register; memory is
     a page table of fixed-size [Bytes] pages, so the simulator's
     innermost loads and stores touch flat storage instead of hashing.
     Values are plain OCaml integers; loads and stores move [width]
@@ -41,6 +41,41 @@ val rollback : t -> unit
 (** Restore state to the active checkpoint. *)
 
 val in_region : t -> bool
+
+(** {2 Predecoded region code}
+
+    A translated region's bundles, decoded once into flat int arrays
+    (opcode and operands, registers resolved to register-file indices,
+    immediates inline) and run by a loop that allocates nothing per op
+    except the {!Hw.Access.t} handed to the alias detector. *)
+
+type code
+
+val compile : Ir.Instr.t list array -> code
+(** Predecode bundles (index = issue cycle).  The caller validates the
+    region first: raises [Invalid_argument] on a [Jump], a memory width
+    outside 1..8 or a negative register index. *)
+
+type stop =
+  | Fell_through  (** ran past the last bundle *)
+  | Side_exit of Ir.Instr.label  (** a taken branch or an exit *)
+  | Fault of Hw.Detector.violation  (** the detector reported a conflict *)
+
+type run = {
+  stop : stop;
+  issued : int;  (** bundles issued, counting the one that stopped *)
+  stalls : int;  (** cache stall cycles *)
+}
+
+val execute :
+  t -> code -> detector:Hw.Detector.t -> cache:Cache.t option -> run
+(** Run predecoded code inside the active region (see {!checkpoint}),
+    with the same effects, in the same order, as evaluating each
+    instruction with {!Eval}: a memory op touches [cache], then asks
+    the detector, then (if no conflict) performs its access; [Rotate]
+    and [Amov] go to the detector.  Execution stops at the first taken
+    side exit or fault and never commits or rolls back itself.  Raises
+    [Invalid_argument] outside a region. *)
 
 val equal_guest_state : t -> t -> bool
 (** Registers (guest-visible only) and memory agree.  Optimizer

@@ -37,6 +37,13 @@ let optimize ?(policy = Sched.Policy.smarq ~ar_count:64) ?(known_alias = []) sb
   Opt.Optimizer.optimize ~policy ~issue_width:4 ~mem_ports:2
     ~latency:default_latency ~fresh_id ~known_alias sb
 
+(* Run a region that must be well-formed. *)
+let run_region ?(config = Vliw.Config.default) ~detector ~machine region =
+  match Vliw.Region_exec.run ~config ~detector ~machine region with
+  | Ok r -> r
+  | Error rej ->
+    Alcotest.failf "region rejected: %a" Vliw.Region_exec.pp_rejection rej
+
 (* Execute an optimized region against the trace of the original
    superblock, iterating fault -> known-alias -> re-optimize like the
    runtime does.  Returns the number of faults serviced.  Asserts final
@@ -72,9 +79,7 @@ let run_to_commit ?(policy = Sched.Policy.smarq ~ar_count:64)
       if faults >= 12 then Sched.Policy.none () else policy
     in
     let o = optimize ~policy ~known_alias:(expand known pinned) sb in
-    let r =
-      Vliw.Region_exec.run ~config ~detector ~machine o.Opt.Optimizer.region
-    in
+    let r = run_region ~config ~detector ~machine o.Opt.Optimizer.region in
     match r.Vliw.Region_exec.outcome with
     | Vliw.Region_exec.Alias_fault v ->
       let pair = (v.Hw.Detector.setter, v.Hw.Detector.checker) in

@@ -280,7 +280,17 @@ let test_alat_capacity_eviction () =
   ok_or_fail
     (Hw.Alat.on_mem a
        (mop ~id:4 ~annot:Ir.Annot.No_annot ~store:true)
-       (access ~addr:100 ~width:4))
+       (access ~addr:100 ~width:4));
+  Alcotest.(check int) "both survivors compared" 2 (Hw.Alat.checks_performed a);
+  (* the scan runs newest first: a store over entries 2 and 3 names 3
+     after one comparison *)
+  expect_violation ~setter:3 ~checker:5
+    (Hw.Alat.on_mem a
+       (mop ~id:5 ~annot:Ir.Annot.No_annot ~store:true)
+       (access ~addr:200 ~width:104));
+  Alcotest.(check int) "stopped at the newest" 3 (Hw.Alat.checks_performed a);
+  Hw.Alat.reset a;
+  Alcotest.(check int) "reset empties" 0 (Hw.Alat.live_count a)
 
 (* Table 1 of the paper as a machine-checked fact. *)
 let test_table1_capabilities () =
@@ -308,6 +318,182 @@ let test_checks_counter () =
        (access ~addr:1000 ~width:4));
   Alcotest.(check int) "one comparison" 1 (Hw.Queue.checks_performed q)
 
+(* Two registers hold ranges the checker overlaps: the ring scans
+   orders lowest first, so the violation names the lower-order setter
+   and stops there. *)
+let test_queue_lowest_order_setter () =
+  let q = Hw.Queue.create ~size:8 in
+  ok_or_fail
+    (Hw.Queue.on_mem q (qop ~id:1 ~offset:5 ~p:true ~c:false ())
+       (access ~addr:0 ~width:8));
+  ok_or_fail
+    (Hw.Queue.on_mem q (qop ~id:2 ~offset:2 ~p:true ~c:false ())
+       (access ~addr:4 ~width:4));
+  ok_or_fail
+    (Hw.Queue.on_mem q (qop ~id:3 ~offset:3 ~p:true ~c:false ())
+       (access ~addr:500 ~width:4));
+  expect_violation ~setter:2 ~checker:4
+    (Hw.Queue.on_mem q
+       (qop ~load:false ~id:4 ~offset:1 ~p:false ~c:true ())
+       (access ~addr:4 ~width:4));
+  Alcotest.(check int) "one comparison, up to the first conflict" 1
+    (Hw.Queue.checks_performed q)
+
+(* Reference model of the ORDERED-ALIAS-DETECTION-RULE: live registers
+   as an order-sorted association list.  A check compares every set
+   register at-or-after the checker's order, lowest first (loads skip
+   registers set by loads), and stops at the first overlap. *)
+module Queue_model = struct
+  type entry = {
+    order : int;
+    lo : int;
+    hi : int;
+    setter : int;
+    by_load : bool;
+  }
+
+  type t = {
+    mutable base : int;
+    mutable live : entry list;  (* ascending order *)
+    mutable checks : int;
+  }
+
+  let create () = { base = 0; live = []; checks = 0 }
+
+  let reset t =
+    t.base <- 0;
+    t.live <- []
+
+  let remove t order = t.live <- List.filter (fun e -> e.order <> order) t.live
+
+  let set t e =
+    remove t e.order;
+    t.live <- List.sort (fun a b -> Int.compare a.order b.order) (e :: t.live)
+
+  let rotate t n =
+    t.base <- t.base + n;
+    t.live <- List.filter (fun e -> e.order >= t.base) t.live
+
+  let amov t ~src ~dst =
+    match List.find_opt (fun e -> e.order = t.base + src) t.live with
+    | None -> remove t (t.base + dst)
+    | Some e ->
+      remove t e.order;
+      if src <> dst then set t { e with order = t.base + dst }
+
+  let on_mem t ~id ~is_load ~offset ~p ~c ~lo ~hi =
+    let order = t.base + offset in
+    let rec scan = function
+      | [] -> Ok ()
+      | e :: rest ->
+        if e.order < order || (is_load && e.by_load) then scan rest
+        else begin
+          t.checks <- t.checks + 1;
+          if e.lo <= hi && lo <= e.hi then Error e.setter else scan rest
+        end
+    in
+    match if c then scan t.live else Ok () with
+    | Error _ as err -> err
+    | Ok () ->
+      if p then set t { order; lo; hi; setter = id; by_load = is_load };
+      Ok ()
+end
+
+type queue_op =
+  | Q_reset
+  | Q_mem of bool * int * bool * bool * int * int  (* load, offset, p, c, addr, width *)
+  | Q_rotate of int
+  | Q_amov of int * int
+
+let queue_size = 6
+
+let queue_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Q_reset);
+        ( 12,
+          map
+            (fun (load, offset, (p, c), (addr, width)) ->
+              Q_mem (load, offset, p, c, addr, width))
+            (quad bool (int_bound (queue_size - 1)) (pair bool bool)
+               (pair (int_bound 40) (int_range 1 8))) );
+        (3, map (fun n -> Q_rotate n) (int_bound 3));
+        ( 2,
+          map2
+            (fun s d -> Q_amov (s, d))
+            (int_bound (queue_size - 1))
+            (int_bound (queue_size - 1)) );
+      ])
+
+let print_queue_op = function
+  | Q_reset -> "reset"
+  | Q_mem (load, o, p, c, a, w) ->
+    Printf.sprintf "%s@%d%s%s[%d+%d]"
+      (if load then "ld" else "st")
+      o
+      (if p then "P" else "")
+      (if c then "C" else "")
+      a w
+  | Q_rotate n -> Printf.sprintf "rot %d" n
+  | Q_amov (s, d) -> Printf.sprintf "amov %d->%d" s d
+
+let prop_queue_matches_model ops =
+  let q = Hw.Queue.create ~size:queue_size and m = Queue_model.create () in
+  let same_live () =
+    List.map
+      (fun (o, (a : Hw.Access.t), s) -> (o, a.lo, a.hi, s))
+      (Hw.Queue.live_entries q)
+    = List.map
+        (fun (e : Queue_model.entry) -> (e.order, e.lo, e.hi, e.setter))
+        m.live
+  in
+  let next_id = ref 0 in
+  List.for_all
+    (fun op ->
+      incr next_id;
+      let verdicts_agree =
+        match op with
+        | Q_reset ->
+          Hw.Queue.reset q;
+          Queue_model.reset m;
+          true
+        | Q_rotate n ->
+          Hw.Queue.rotate q n;
+          Queue_model.rotate m n;
+          true
+        | Q_amov (src, dst) ->
+          Hw.Queue.amov q ~src ~dst;
+          Queue_model.amov m ~src ~dst;
+          true
+        | Q_mem (load, offset, p, c, addr, width) ->
+          let id = !next_id in
+          let got =
+            Hw.Queue.on_mem q (qop ~load ~id ~offset ~p ~c ())
+              (access ~addr ~width)
+          in
+          let want =
+            Queue_model.on_mem m ~id ~is_load:load ~offset ~p ~c ~lo:addr
+              ~hi:(addr + width - 1)
+          in
+          (match got, want with
+          | Ok (), Ok () -> true
+          | Error v, Error setter ->
+            v.Hw.Detector.setter = setter && v.Hw.Detector.checker = id
+          | Ok (), Error _ | Error _, Ok () -> false)
+      in
+      verdicts_agree
+      && Hw.Queue.checks_performed q = m.checks
+      && same_live ())
+    ops
+
+let queue_model_case =
+  qcase ~count:500 "queue: ring matches the ordered-detection model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_queue_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) queue_op_gen))
+    prop_queue_matches_model
+
 let suite =
   ( "hw",
     [
@@ -330,4 +516,7 @@ let suite =
       case "alat: capacity eviction" test_alat_capacity_eviction;
       case "table 1 capabilities" test_table1_capabilities;
       case "energy proxy counter" test_checks_counter;
+      case "queue: lowest-order setter reported"
+        test_queue_lowest_order_setter;
+      queue_model_case;
     ] )

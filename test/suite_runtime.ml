@@ -223,6 +223,28 @@ let test_scheme_parsing () =
     (Invalid_argument "unknown scheme \"bogus\"") (fun () ->
       ignore (Smarq.Scheme.of_string "bogus"))
 
+(* A machine with fewer alias registers than the scheme allocates: the
+   executor rejects every speculated region before it runs, and the
+   driver degrades those labels to the interpreter instead of crashing
+   the run. *)
+let test_rejected_regions_degrade () =
+  let program = colliding_loop ~iters:400 in
+  let config = Vliw.Config.with_alias_registers Vliw.Config.default 0 in
+  let r =
+    Smarq.run_program ~config ~fuel:10_000_000 ~scheme:(Smarq.Scheme.Smarq 64)
+      program
+  in
+  let st = r.Runtime.Driver.stats in
+  Alcotest.(check bool) "completed" true
+    (r.Runtime.Driver.outcome = Runtime.Driver.Completed);
+  Alcotest.(check bool) "rejected regions degraded" true
+    (st.Runtime.Stats.degraded_regions >= 1);
+  Alcotest.(check int) "no rejected region ran" 0
+    st.Runtime.Stats.region_entries;
+  Alcotest.(check bool) "state correct" true
+    (Vliw.Machine.equal_guest_state (reference program)
+       r.Runtime.Driver.machine)
+
 let suite =
   ( "runtime",
     [
@@ -240,4 +262,6 @@ let suite =
       case "benchmark suite equivalence (smarq64)"
         test_suite_benchmarks_equivalent;
       case "scheme parsing" test_scheme_parsing;
+      case "executor rejections degrade to the interpreter"
+        test_rejected_regions_degrade;
     ] )
