@@ -1,9 +1,12 @@
 (* Experiment harness: regenerates every table and figure of the
-   paper's evaluation (Section 6).  Run with no arguments for the full
-   set, or with a subset of: table1 table2 fig14 fig15 fig16 fig17
-   fig18 fig19 micro.  `-j N` bounds the worker domains used to fan the
-   benchmark × scheme matrix out in parallel (default: all cores);
-   simulated results are identical for every N.
+   paper's evaluation (Section 6), plus the ablation, cache, tcache,
+   disamb and serve-capacity experiments.  Run with no arguments for
+   the full set, or name a subset (see [experiments] below).  `-j N`
+   bounds the worker domains used to fan the benchmark × scheme matrix
+   out in parallel (default: all cores); simulated results are
+   identical for every N.  The tool harnesses — translate throughput,
+   soak, fault campaigns — are `smarq_run` subcommands, not
+   experiments here.
 
    Absolute numbers come from our synthetic workloads and VLIW timing
    model; the claims under test are the paper's *shapes*: which scheme
@@ -49,14 +52,12 @@ let jobs_this_experiment = ref 0
 let sim_seconds_this_experiment = ref 0.0
 
 (* fault/recovery counters summed over the experiment's runs, so
-   BENCH_* trajectories can track recovery overhead; all zero unless an
-   experiment injects faults *)
+   BENCH_* trajectories can track recovery overhead *)
 let injected_this_experiment = ref 0
 let spurious_this_experiment = ref 0
 let degraded_this_experiment = ref 0
 
-(* translation-validation counters, nonzero only under BENCH_VERIFY
-   (or experiments that verify on their own, like the fault campaign) *)
+(* translation-validation counters, nonzero only under BENCH_VERIFY *)
 let verified_this_experiment = ref 0
 let rejected_this_experiment = ref 0
 
@@ -661,182 +662,6 @@ let tcache_exp ~domains =
      skipped the cache lookup entirely.\n"
     loops
 
-(* ---- Translate throughput: the arena fast pipeline vs the seed
-   reference pipeline, plus the cores-vs-throughput curve of the
-   parallel replay path.  The suite is run once under the driver with
-   request capture; every measurement below replays the same captured
-   batch, so all sides translate exactly the same regions and the
-   artifacts are asserted bit-identical across pipelines and job
-   counts.  Writes BENCH_TRANSLATE.json at the repo root. ---- *)
-
-let translate_out_path =
-  match Sys.getenv_opt "BENCH_TRANSLATE" with
-  | Some p -> p
-  | None -> "BENCH_TRANSLATE.json"
-
-let translate_exp ~domains:_ =
-  hr "Translate throughput: fast vs reference pipeline, parallel replay";
-  let unroll =
-    match Sys.getenv_opt "BENCH_TRANSLATE_UNROLL" with
-    | Some s -> (try max 8 (int_of_string (String.trim s)) with _ -> 8)
-    | None -> 8
-  in
-  let reps =
-    match Sys.getenv_opt "BENCH_TRANSLATE_REPS" with
-    | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 3)
-    | None -> 3
-  in
-  let scheme = Smarq.Scheme.Smarq 64 in
-  (* capture once: the driver runs (and executes) each benchmark while
-     recording every optimize request it performs *)
-  let captured =
-    List.map
-      (fun (b : Workload.Specfp.bench) ->
-        let r, cfg, reqs =
-          Exec.Translate.capture_program ~unroll ~verify:bench_verify ~scheme
-            (Workload.Specfp.program ~scale:1 b)
-        in
-        incr jobs_this_experiment;
-        sim_seconds_this_experiment :=
-          !sim_seconds_this_experiment
-          +. r.Runtime.Driver.stats.Runtime.Stats.wall_seconds;
-        note_fault_stats r.Runtime.Driver.stats;
-        (cfg, reqs))
-      Workload.Specfp.suite
-  in
-  (* one persistent pool serves every parallel point and every rep *)
-  let recommended = Exec.Pool.default_domains () in
-  let curve_jobs =
-    List.sort_uniq Int.compare [ 1; 2; 4; recommended ]
-  in
-  let max_jobs = List.fold_left max 1 curve_jobs in
-  let pool =
-    if max_jobs > 1 then Some (Exec.Pool.create ~domains:max_jobs ()) else None
-  in
-  let replay_suite ~pipeline ~jobs =
-    let acc = Runtime.Profile.create () in
-    let wall = ref 0.0 in
-    let artifacts = ref [] in
-    for rep = 1 to reps do
-      List.iter
-        (fun (cfg, reqs) ->
-          let r =
-            if jobs = 1 then Exec.Translate.replay ~jobs:1 ~pipeline ~config:cfg reqs
-            else Exec.Translate.replay ?pool ~jobs ~pipeline ~config:cfg reqs
-          in
-          Runtime.Profile.accumulate ~into:acc r.Exec.Translate.profile;
-          wall := !wall +. r.Exec.Translate.wall_seconds;
-          if rep = 1 then
-            artifacts := List.rev_append r.Exec.Translate.artifacts !artifacts)
-        captured
-    done;
-    (acc, !wall, List.rev !artifacts)
-  in
-  let fast, fast_wall, fast_arts =
-    replay_suite ~pipeline:Sched.Pipeline.Fast ~jobs:1
-  in
-  let slow, _, slow_arts =
-    replay_suite ~pipeline:Sched.Pipeline.Reference ~jobs:1
-  in
-  let identical = ref (List.for_all2 Exec.Translate.equal_artifact fast_arts slow_arts) in
-  (* cores-vs-throughput curve: same captured batch, same persistent
-     pool, only the job window changes *)
-  let curve =
-    List.map
-      (fun jobs ->
-        let p, wall, arts = replay_suite ~pipeline:Sched.Pipeline.Fast ~jobs in
-        identical :=
-          !identical && List.for_all2 Exec.Translate.equal_artifact fast_arts arts;
-        let regions_per_s =
-          if wall > 0.0 then float_of_int p.Sched.Profile.regions /. wall
-          else 0.0
-        in
-        (jobs, wall, regions_per_s))
-      curve_jobs
-  in
-  (match pool with Some p -> Exec.Pool.shutdown p | None -> ());
-  let row name (p : Runtime.Profile.t) =
-    Printf.printf "%-10s %8.3fs %7d regions %8d instrs %10.0f regions/s\n"
-      name (Runtime.Profile.total p) p.Sched.Profile.regions
-      p.Sched.Profile.instrs
-      (Runtime.Profile.regions_per_second p)
-  in
-  Printf.printf "suite=specfp-kernels unroll=%d reps=%d scheme=%s\n\n" unroll
-    reps (Smarq.Scheme.name scheme);
-  row "fast" fast;
-  row "reference" slow;
-  let speedup =
-    let ft = Runtime.Profile.total fast in
-    if ft > 0.0 then Runtime.Profile.total slow /. ft else 0.0
-  in
-  Printf.printf "\nper-phase seconds (fast | reference):\n";
-  List.iter2
-    (fun (name, f) (_, s) -> Printf.printf "  %-9s %9.4f  %9.4f\n" name f s)
-    (Runtime.Profile.phases fast)
-    (Runtime.Profile.phases slow);
-  Printf.printf "\ntranslate speedup (reference / fast): %.2fx\n" speedup;
-  let jt1_wall = match curve with (1, w, _) :: _ -> w | _ -> fast_wall in
-  Printf.printf
-    "\nparallel replay (wall clock, %d worker domains recommended here):\n"
-    recommended;
-  List.iter
-    (fun (jobs, wall, rps) ->
-      Printf.printf "  jobs=%-2d %8.3fs wall %10.1f regions/s %6.2fx vs jobs=1\n"
-        jobs wall rps
-        (if wall > 0.0 then jt1_wall /. wall else 0.0))
-    curve;
-  Printf.printf "artifacts %s across pipelines and job counts\n"
-    (if !identical then "bit-identical" else "DIVERGENT");
-  if not !identical then begin
-    prerr_endline "translate: replay DIVERGED — aborting";
-    exit 1
-  end;
-  let side (p : Runtime.Profile.t) =
-    let fields =
-      List.map
-        (fun (name, v) -> Printf.sprintf "\"%s_s\":%.6f" name v)
-        (Runtime.Profile.phases p)
-    in
-    Printf.sprintf
-      "{%s,\"total_s\":%.6f,\"regions\":%d,\"instrs\":%d,\
-       \"regions_per_s\":%.1f,\"instrs_per_s\":%.1f}"
-      (String.concat "," fields)
-      (Runtime.Profile.total p)
-      p.Sched.Profile.regions p.Sched.Profile.instrs
-      (Runtime.Profile.regions_per_second p)
-      (Runtime.Profile.instrs_per_second p)
-  in
-  let parallel_json =
-    List.map
-      (fun (jobs, wall, rps) ->
-        Printf.sprintf
-          "{\"jobs\":%d,\"wall_s\":%.6f,\"regions_per_s\":%.1f,\
-           \"speedup_vs_jobs1\":%.3f}"
-          jobs wall rps
-          (if wall > 0.0 then jt1_wall /. wall else 0.0))
-      curve
-    |> String.concat ","
-  in
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"translate\",\"suite\":\"specfp-kernels\",\
-       \"scheme\":\"%s\",\"unroll\":%d,\"reps\":%d,\
-       \"fast\":%s,\"reference\":%s,\"speedup\":%.3f,\
-       \"recommended_domains\":%d,\"identical\":%b,\"parallel\":[%s]}"
-      (Smarq.Scheme.name scheme) unroll reps (side fast) (side slow) speedup
-      recommended !identical parallel_json
-  in
-  let oc = open_out translate_out_path in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" translate_out_path;
-  Printf.printf
-    "the arena-backed builders and heap scheduler replace the seed's\n\
-     quadratic, allocation-heavy passes; the parallel rows replay the\n\
-     same captured requests over the persistent domain pool (the curve\n\
-     is only as good as the cores this host offers).\n"
-
 (* ---- Translation service: throughput and latency percentiles under
    load.  A closed loop measures each domain count's sustainable
    throughput, then an open-loop arrival-rate sweep (0.5x / 1x / 2x of
@@ -896,20 +721,6 @@ let serve_exp ~domains:_ =
       !injected_this_experiment + r.Serve.Server.injected_faults;
     res
   in
-  let point_json ~domains (res : Serve.Loadgen.result) =
-    Printf.sprintf
-      "{\"mode\":\"%s\",\"domains\":%d,\"offered_rps\":%s,\
-       \"elapsed_s\":%.6f,\"throughput_rps\":%.3f,\"report\":%s}"
-      (match res.Serve.Loadgen.offered_rps with
-      | Some _ -> "open"
-      | None -> "closed")
-      domains
-      (match res.Serve.Loadgen.offered_rps with
-      | Some r -> Printf.sprintf "%.3f" r
-      | None -> "null")
-      res.Serve.Loadgen.elapsed_s res.Serve.Loadgen.throughput_rps
-      (Serve.Server.report_json res.Serve.Loadgen.report)
-  in
   let row ~domains (res : Serve.Loadgen.result) =
     let r = res.Serve.Loadgen.report in
     Printf.printf
@@ -938,7 +749,7 @@ let serve_exp ~domains:_ =
           ~mode:(Serve.Loadgen.Closed { clients = 2 * domains })
       in
       row ~domains closed;
-      points := point_json ~domains closed :: !points;
+      points := Serve.Loadgen.result_json ~domains closed :: !points;
       errors :=
         !errors + closed.Serve.Loadgen.report.Serve.Server.errors;
       let capacity = max 1.0 closed.Serve.Loadgen.throughput_rps in
@@ -949,7 +760,7 @@ let serve_exp ~domains:_ =
             run_point ~domains ~mode:(Serve.Loadgen.Open { rate })
           in
           row ~domains opened;
-          points := point_json ~domains opened :: !points;
+          points := Serve.Loadgen.result_json ~domains opened :: !points;
           errors :=
             !errors + opened.Serve.Loadgen.report.Serve.Server.errors)
         [ 0.5; 1.0; 2.0 ])
@@ -974,95 +785,6 @@ let serve_exp ~domains:_ =
      requests.\n";
   if !errors > 0 then
     Printf.printf "WARNING: %d requests failed with errors\n" !errors
-
-(* ---- Sustained soak: minutes of mixed plain/fault/verify/heavy
-   traffic with deadlines, retries, per-(tenant, scheme) breakers and
-   seeded service-level chaos.  First a small same-seed replay pair
-   proves the deterministic core reproduces bit-for-bit, then the long
-   run reports tail latency through p99.9, breaker/retry totals and the
-   GC memory ceiling.  Writes BENCH_SOAK.json at the repo root;
-   BENCH_SOAK / BENCH_SOAK_REQS override path and length. ---- *)
-
-let soak_out_path =
-  match Sys.getenv_opt "BENCH_SOAK" with
-  | Some p -> p
-  | None -> "BENCH_SOAK.json"
-
-let soak_exp ~domains:_ =
-  hr "Sustained soak: resilience under chaos (JSON)";
-  let requests =
-    match Sys.getenv_opt "BENCH_SOAK_REQS" with
-    | Some s -> (try max 8 (int_of_string (String.trim s)) with _ -> 480)
-    | None -> 480
-  in
-  let cfg requests =
-    { Serve.Soak.default_config with Serve.Soak.requests }
-  in
-  (* replay pair: the deterministic core must reproduce from the seed *)
-  let small = cfg (min requests 48) in
-  let a = Serve.Soak.run small in
-  let b = Serve.Soak.run small in
-  let replay_ok =
-    Serve.Soak.deterministic_json a = Serve.Soak.deterministic_json b
-  in
-  Printf.printf "same-seed replay (x2, %d requests): %s\n"
-    small.Serve.Soak.requests
-    (if replay_ok then "identical" else "DIVERGED");
-  let r = Serve.Soak.run (cfg requests) in
-  Format.printf "%a@." Serve.Soak.pp r;
-  Format.print_flush ();
-  let sr = r.Serve.Soak.server in
-  jobs_this_experiment :=
-    !jobs_this_experiment + sr.Serve.Server.completed
-    + sr.Serve.Server.timed_out + sr.Serve.Server.degraded;
-  sim_seconds_this_experiment :=
-    !sim_seconds_this_experiment +. sr.Serve.Server.sim_seconds;
-  injected_this_experiment :=
-    !injected_this_experiment + sr.Serve.Server.injected_faults;
-  let oc = open_out soak_out_path in
-  Printf.fprintf oc "{\"experiment\":\"soak\",\"replay_identical\":%b,%s\n"
-    replay_ok
-    (let j = Serve.Soak.report_json r in
-     String.sub j 1 (String.length j - 1));
-  close_out oc;
-  Printf.printf "wrote %s\n" soak_out_path;
-  if (not replay_ok) || sr.Serve.Server.errors > 0
-     || not (Serve.Soak.fully_resolved r)
-  then begin
-    Printf.printf
-      "WARNING: soak failed (replay %b, errors %d, resolved %b)\n" replay_ok
-      sr.Serve.Server.errors
-      (Serve.Soak.fully_resolved r);
-    exit 1
-  end
-
-(* ---- Fault campaign: seeded injection across schemes, every run
-   checked against the interpreter oracle.  Emits the same JSON lines
-   as `smarq_run fuzz`, so BENCH_* trajectories can track recovery
-   overhead next to the performance tables. ---- *)
-
-let faults_exp ~domains:_ =
-  hr "Fault injection: recovery ladder under a seeded campaign (JSON)";
-  let cfg =
-    { Verify.Campaign.default_config with Verify.Campaign.seeds = [ 1; 2 ] }
-  in
-  let benches =
-    List.map Workload.Specfp.find [ "wupwise"; "equake" ]
-  in
-  let result = Verify.Campaign.run_benches cfg benches in
-  List.iter
-    (fun (r : Verify.Campaign.run) ->
-      print_endline (Verify.Campaign.json_line cfg r);
-      note_fault_stats r.Verify.Campaign.entry.Verify.Oracle.stats;
-      incr jobs_this_experiment;
-      sim_seconds_this_experiment :=
-        !sim_seconds_this_experiment
-        +. r.Verify.Campaign.entry.Verify.Oracle.stats
-             .Runtime.Stats.wall_seconds)
-    result.Verify.Campaign.runs;
-  Format.printf "%a" Verify.Campaign.pp_summary result;
-  if not (Verify.Campaign.ok result) then
-    Printf.printf "WARNING: fault campaign diverged from the oracle\n"
 
 (* ---- Static alias certification: the abstract-interpretation
    disambiguator certifies may-alias pairs No_alias, so their
@@ -1285,10 +1007,7 @@ let experiments =
     ("static", static_exp);
     ("unroll", unroll_exp);
     ("tcache", tcache_exp);
-    ("translate", translate_exp);
     ("serve", serve_exp);
-    ("soak", soak_exp);
-    ("faults", faults_exp);
     ("disamb", disamb_exp);
     ("micro", micro);
   ]

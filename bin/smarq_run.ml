@@ -7,7 +7,15 @@
                                            -- fault-injected + checked
    smarq_run compare -b mesa --scale 5     -- all schemes side by side
    smarq_run region -b ammp -s smarq64     -- show an annotated region
-   smarq_run fuzz --seeds 3 --rate 0.05    -- fault campaign + report *)
+   smarq_run fuzz --seeds 3 --rate 0.05    -- fault campaign + report
+   smarq_run verify -j 2                   -- verifier + mutation harness
+   smarq_run translate --jt 2 --reps 3 --report BENCH_TRANSLATE.json
+                                           -- translate throughput record
+   smarq_run serve --requests 16           -- translation service run
+   smarq_run soak --chaos-seed 1           -- resilience soak
+
+   Each tool harness lives here only; bench/main.ml regenerates the
+   paper's tables and figures. *)
 
 open Cmdliner
 
@@ -53,14 +61,16 @@ let tcache_policy_arg =
     & opt tcache_policy_conv Smarq.Tcache.Policy.Unbounded
     & info [ "tcache-policy" ] ~docv:"POLICY" ~doc)
 
-let positive_int_conv =
+let int_conv_at_least lo ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some _ -> Error (`Msg "capacity must be positive")
-    | None -> Error (`Msg (Printf.sprintf "invalid capacity %S" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int_conv = int_conv_at_least 1 ~what:"positive"
+let non_negative_int_conv = int_conv_at_least 0 ~what:"non-negative"
 
 let tcache_capacity_arg =
   let doc =
@@ -144,24 +154,14 @@ let certify_arg =
 
 let translate_jobs_arg =
   let doc =
-    "Translation job count: captured optimize requests are replayed \
-     over that many worker domains ($(b,1) = the sequential fast path, \
-     no pool).  Artifacts are bit-identical for every value."
+    "Replay job count: the captured optimize requests are also replayed \
+     over that many worker domains ($(b,1) = only the sequential fast \
+     path, no pool).  Artifacts are bit-identical for every value."
   in
   Arg.(
     value
     & opt positive_int_conv 1
     & info [ "jt"; "translate-jobs" ] ~docv:"N" ~doc)
-
-let policy_of_scheme = function
-  | Smarq.Scheme.Smarq n -> Sched.Policy.smarq ~ar_count:n
-  | Smarq.Scheme.Smarq_no_store_reorder n ->
-    Sched.Policy.smarq_no_store_reorder ~ar_count:n
-  | Smarq.Scheme.Naive_order n -> Sched.Policy.naive_order ~ar_count:n
-  | Smarq.Scheme.Alat -> Sched.Policy.alat ()
-  | Smarq.Scheme.Efficeon -> Sched.Policy.efficeon ()
-  | Smarq.Scheme.None_ -> Sched.Policy.none ()
-  | Smarq.Scheme.None_static -> Sched.Policy.none_with_analysis ()
 
 let find_bench name =
   match Workload.Specfp.find name with
@@ -188,7 +188,7 @@ let list_cmd =
 
 let run_cmd =
   let run bench scheme scale tcache_policy tcache_capacity fault_seed
-      fault_rate oracle verify certify translate_jobs =
+      fault_rate oracle verify certify =
     let b = find_bench bench in
     let program = Workload.Specfp.program ~scale b in
     let fault =
@@ -255,31 +255,6 @@ let run_cmd =
             (Vliw.Machine.diff_guest_state oracle_m r.Runtime.Driver.machine);
           exit 1
         end
-    end;
-    if translate_jobs > 1 then begin
-      (* Replay the run's translations over the pool and hold the
-         parallel path to the sequential one.  The capture run is
-         fault-free: faults perturb which re-optimizations happen, but
-         the replay invariant is per-request, not per-plan. *)
-      let _, cfg, requests =
-        Exec.Translate.capture_program ~fuel:2_000_000_000 ~tcache_policy
-          ?tcache_capacity ~scheme program
-      in
-      let seq = Exec.Translate.replay ~jobs:1 ~config:cfg requests in
-      let par =
-        Exec.Translate.replay ~jobs:translate_jobs ~config:cfg requests
-      in
-      let identical =
-        List.for_all2 Exec.Translate.equal_artifact
-          seq.Exec.Translate.artifacts par.Exec.Translate.artifacts
-      in
-      Printf.printf
-        "translate replay: %d requests, -jt 1 %.3fs, -jt %d %.3fs, \
-         artifacts %s\n"
-        (List.length requests) seq.Exec.Translate.wall_seconds translate_jobs
-        par.Exec.Translate.wall_seconds
-        (if identical then "bit-identical" else "DIVERGENT");
-      if not identical then exit 1
     end
   in
   Cmd.v
@@ -287,7 +262,7 @@ let run_cmd =
     Term.(
       const run $ bench_arg $ scheme_arg $ scale_arg $ tcache_policy_arg
       $ tcache_capacity_arg $ fault_seed_arg $ fault_rate_arg $ oracle_arg
-      $ verify_regions_arg $ certify_arg $ translate_jobs_arg)
+      $ verify_regions_arg $ certify_arg)
 
 let jobs_arg =
   let doc =
@@ -542,7 +517,9 @@ let verify_cmd =
             let cells =
               List.map
                 (fun scheme ->
-                  (Smarq.Scheme.name scheme, policy_of_scheme scheme, sb))
+                  ( Smarq.Scheme.name scheme,
+                    (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy,
+                    sb ))
                 schemes
               @
               (* certified cells on an unrolled body: unrolling creates
@@ -555,7 +532,8 @@ let verify_cmd =
                 List.map
                   (fun scheme ->
                     ( Smarq.Scheme.name scheme ^ "+cert",
-                      Sched.Policy.with_certify (policy_of_scheme scheme),
+                      Sched.Policy.with_certify
+                        (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy,
                       sb4 ))
                   certify_schemes
             in
@@ -648,7 +626,7 @@ let region_cmd =
         exit 1
     in
     Format.printf "--- superblock ---@.%a@." Ir.Superblock.pp sb;
-    let policy = policy_of_scheme scheme in
+    let policy = (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy in
     let o =
       Opt.Optimizer.optimize ~policy ~issue_width:4 ~mem_ports:2
         ~latency:(Vliw.Config.latency Vliw.Config.default)
@@ -705,6 +683,7 @@ let translate_cmd =
       | None -> Workload.Specfp.suite
       | Some name -> [ find_bench name ]
     in
+    let suite = Option.value bench ~default:"specfp-kernels" in
     (* capture once; every replay below reuses the same request lists *)
     let captured =
       List.map
@@ -716,10 +695,7 @@ let translate_cmd =
           (cfg, reqs))
         benches
     in
-    let n_requests =
-      List.fold_left (fun acc (_, reqs) -> acc + List.length reqs) 0 captured
-    in
-    (* one persistent pool across every rep (and both pipelines) *)
+    (* one persistent pool across every rep of the -jt N sweep *)
     let pool = if jt > 1 then Some (Exec.Pool.create ~domains:jt ()) else None in
     let sweep ~pipeline ~jobs =
       let profile = Sched.Profile.create () in
@@ -739,61 +715,109 @@ let translate_cmd =
       done;
       (profile, !wall, List.rev !artifacts)
     in
-    let seq_p, seq_wall, seq_arts = sweep ~pipeline:Sched.Pipeline.Fast ~jobs:1 in
-    let par_p, par_wall, par_arts =
-      sweep ~pipeline:Sched.Pipeline.Fast ~jobs:jt
+    let fast, fast_wall, fast_arts =
+      sweep ~pipeline:Sched.Pipeline.Fast ~jobs:1
     in
-    let ref_p, ref_wall, ref_arts =
+    let reference, _, ref_arts =
       sweep ~pipeline:Sched.Pipeline.Reference ~jobs:1
     in
-    (match pool with Some p -> Exec.Pool.shutdown p | None -> ());
+    let par =
+      Option.map (fun _ -> sweep ~pipeline:Sched.Pipeline.Fast ~jobs:jt) pool
+    in
+    Option.iter Exec.Pool.shutdown pool;
+    let same arts =
+      List.for_all2 Exec.Translate.equal_artifact fast_arts arts
+    in
     let identical =
-      List.for_all2 Exec.Translate.equal_artifact seq_arts par_arts
-      && List.for_all2 Exec.Translate.equal_artifact seq_arts ref_arts
+      same ref_arts
+      && match par with Some (_, _, arts) -> same arts | None -> true
     in
-    (* the gate compares the canonical single-domain fast path against
-       the seed pipeline (same axis as BENCH_TRANSLATE.json); the
-       parallel row is reported on its own — on a single-core host its
-       summed per-domain seconds include contention and would make the
-       bar meaningless *)
+    (* the gate compares the single-domain fast path against the seed
+       pipeline; the -jt N row is reported on its own — on a single-core
+       host its summed per-domain seconds include contention and would
+       make the bar meaningless *)
     let speedup =
-      let ft = Sched.Profile.total seq_p in
-      if ft > 0.0 then Sched.Profile.total ref_p /. ft else 0.0
+      let ft = Sched.Profile.total fast in
+      if ft > 0.0 then Sched.Profile.total reference /. ft else 0.0
     in
-    Printf.printf "suite=%s scheme=%s unroll=%d reps=%d jt=%d\n"
-      (match bench with Some b -> b | None -> "specfp-kernels")
+    (* one replay row per job count: (jobs, wall, regions/s, vs -jt 1) *)
+    let parallel =
+      (1, fast_wall)
+      :: (match par with Some (_, wall, _) -> [ (jt, wall) ] | None -> [])
+      |> List.map (fun (jobs, wall) ->
+             let per_wall x = if wall > 0.0 then x /. wall else 0.0 in
+             ( jobs,
+               wall,
+               per_wall (float_of_int fast.Sched.Profile.regions),
+               per_wall fast_wall ))
+    in
+    Printf.printf "suite=%s scheme=%s unroll=%d reps=%d jt=%d\n\n" suite
       (Smarq.Scheme.name scheme) unroll reps jt;
-    let row name (p : Sched.Profile.t) wall =
-      Printf.printf "%-14s %8.3fs translate %8.3fs wall %6d regions\n" name
-        (Sched.Profile.total p) wall p.Sched.Profile.regions
+    let row name (p : Sched.Profile.t) =
+      Printf.printf "%-10s %8.3fs %7d regions %8d instrs %10.0f regions/s\n"
+        name (Sched.Profile.total p) p.Sched.Profile.regions
+        p.Sched.Profile.instrs
+        (Sched.Profile.regions_per_second p)
     in
-    row "fast -jt 1" seq_p seq_wall;
-    row (Printf.sprintf "fast -jt %d" jt) par_p par_wall;
-    row "reference" ref_p ref_wall;
-    Printf.printf "artifacts: %s\nspeedup (reference / fast -jt 1): %.2fx\n"
+    row "fast" fast;
+    row "reference" reference;
+    Printf.printf "\nper-phase seconds (fast | reference):\n";
+    List.iter2
+      (fun (name, f) (_, r) -> Printf.printf "  %-9s %9.4f  %9.4f\n" name f r)
+      (Sched.Profile.phases fast)
+      (Sched.Profile.phases reference);
+    Printf.printf "\nreplay wall clock (fast pipeline):\n";
+    List.iter
+      (fun (jobs, wall, rps, vs1) ->
+        Printf.printf
+          "  jobs=%-2d %8.3fs wall %10.1f regions/s %6.2fx vs jobs=1\n" jobs
+          wall rps vs1)
+      parallel;
+    Printf.printf "artifacts: %s\nspeedup (reference / fast): %.2fx\n"
       (if identical then "bit-identical across -jt and pipelines"
        else "DIVERGENT")
       speedup;
     (match report with
     | None -> ()
     | Some path ->
-      let side (p : Sched.Profile.t) wall =
+      let side (p : Sched.Profile.t) =
+        let phases =
+          List.map
+            (fun (name, v) -> Printf.sprintf "\"%s_s\":%.6f" name v)
+            (Sched.Profile.phases p)
+        in
         Printf.sprintf
-          "{\"translate_s\":%.6f,\"wall_s\":%.6f,\"regions\":%d}"
-          (Sched.Profile.total p) wall p.Sched.Profile.regions
+          "{%s,\"total_s\":%.6f,\"regions\":%d,\"instrs\":%d,\
+           \"regions_per_s\":%.1f,\"instrs_per_s\":%.1f}"
+          (String.concat "," phases) (Sched.Profile.total p)
+          p.Sched.Profile.regions p.Sched.Profile.instrs
+          (Sched.Profile.regions_per_second p)
+          (Sched.Profile.instrs_per_second p)
+      in
+      let parallel_json =
+        List.map
+          (fun (jobs, wall, rps, vs1) ->
+            Printf.sprintf
+              "{\"jobs\":%d,\"wall_s\":%.6f,\"regions_per_s\":%.1f,\
+               \"speedup_vs_jobs1\":%.3f}"
+              jobs wall rps vs1)
+          parallel
       in
       let oc = open_out path in
       Printf.fprintf oc
-        "{\"experiment\":\"translate-cli\",\"scheme\":\"%s\",\"unroll\":%d,\
-         \"reps\":%d,\"jt\":%d,\"requests\":%d,\"identical\":%b,\
-         \"fast_jt1\":%s,\"fast_jtN\":%s,\"reference\":%s,\"speedup\":%.3f}\n"
-        (Smarq.Scheme.name scheme) unroll reps jt n_requests identical
-        (side seq_p seq_wall) (side par_p par_wall) (side ref_p ref_wall)
-        speedup;
+        "{\"experiment\":\"translate\",\"suite\":\"%s\",\"scheme\":\"%s\",\
+         \"unroll\":%d,\"reps\":%d,\"fast\":%s,\"reference\":%s,\
+         \"speedup\":%.3f,\"recommended_domains\":%d,\"identical\":%b,\
+         \"parallel\":[%s]}\n"
+        suite (Smarq.Scheme.name scheme) unroll reps (side fast)
+        (side reference) speedup
+        (Exec.Pool.default_domains ())
+        identical
+        (String.concat "," parallel_json);
       close_out oc;
       Printf.printf "report written to %s\n" path);
     if not identical then begin
-      prerr_endline "translate: parallel replay DIVERGED from sequential";
+      prerr_endline "translate: replay DIVERGED from the sequential fast path";
       exit 1
     end;
     match min_speedup with
@@ -806,9 +830,11 @@ let translate_cmd =
     (Cmd.info "translate"
        ~doc:
          "Capture every optimize request of a suite run and replay the \
-          batch: fast pipeline sequentially and at --translate-jobs, \
-          plus the seed reference pipeline; exits non-zero if any \
-          artifact diverges or the speedup misses --min-speedup")
+          batch under the fast pipeline and the seed reference pipeline, \
+          and (with --translate-jobs N > 1) the fast pipeline again over \
+          N worker domains; reports per-phase seconds, regions/s and the \
+          reference/fast speedup, and exits non-zero if any artifact \
+          diverges or the speedup misses --min-speedup")
     Term.(
       const run $ scheme_arg $ unroll_arg $ reps_arg $ translate_jobs_arg
       $ min_speedup_arg $ bench_opt_arg $ report_arg)
@@ -896,7 +922,8 @@ let serve_cmd =
        attempts that raise; 0 disables retries.  Exhausted requests fall \
        back to the interpreter-only degraded path."
     in
-    Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt non_negative_int_conv 0 & info [ "retries" ] ~docv:"N" ~doc)
   in
   let retry_budget_arg =
     let doc =
@@ -913,7 +940,10 @@ let serve_cmd =
       "Enable per-(tenant, scheme) circuit breakers with this sliding \
        outcome window; 0 disables breakers."
     in
-    Arg.(value & opt int 0 & info [ "breaker-window" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt non_negative_int_conv 0
+      & info [ "breaker-window" ] ~docv:"N" ~doc)
   in
   let breaker_cooldown_arg =
     let doc = "Admissions an open breaker sheds before probing." in
@@ -1053,15 +1083,8 @@ let serve_cmd =
     | None -> ()
     | Some path ->
       let oc = open_out path in
-      Printf.fprintf oc
-        "{\"domains\":%d,\"tenants\":%d,\"elapsed_s\":%.6f,\
-         \"throughput_rps\":%.3f,%s\"report\":%s}\n"
-        domains tenants res.Serve.Loadgen.elapsed_s
-        res.Serve.Loadgen.throughput_rps
-        (match res.Serve.Loadgen.offered_rps with
-        | Some r -> Printf.sprintf "\"offered_rps\":%.3f," r
-        | None -> "")
-        (Serve.Server.report_json r);
+      output_string oc (Serve.Loadgen.result_json ~domains res);
+      output_char oc '\n';
       close_out oc;
       Printf.printf "report written to %s\n" path);
     if r.Serve.Server.errors > 0 then exit 1
@@ -1135,7 +1158,8 @@ let soak_cmd =
   in
   let retries_arg =
     let doc = "Max retries per request." in
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt non_negative_int_conv 1 & info [ "retries" ] ~docv:"N" ~doc)
   in
   let retry_budget_arg =
     let doc = "Retry tokens per tenant." in
@@ -1166,10 +1190,6 @@ let soak_cmd =
   let run requests tenants domains scale chaos_seed poison_rate fault_rate
       deadline_blocks heavy_blocks retries retry_budget duration_s max_heap_mb
       report =
-    if retries < 0 then begin
-      prerr_endline "soak: --retries must be >= 0";
-      exit 2
-    end;
     let cfg =
       {
         Serve.Soak.default_config with

@@ -66,3 +66,34 @@ let reset p =
   p.emit_s <- 0.0;
   p.regions <- 0;
   p.instrs <- 0
+
+let regions_per_second p =
+  let s = total p in
+  if s <= 0.0 then 0.0 else float_of_int p.regions /. s
+
+let instrs_per_second p =
+  let s = total p in
+  if s <= 0.0 then 0.0 else float_of_int p.instrs /. s
+
+let phases p =
+  [
+    ("alias", p.alias_s);
+    ("depgraph", p.depgraph_s);
+    ("hazards", p.hazards_s);
+    ("alloc", p.alloc_s);
+    ("sched", p.sched_s);
+    ("emit", p.emit_s);
+  ]
+
+let pp ppf p =
+  if total p > 0.0 then begin
+    Format.fprintf ppf "  %-26s %.4f s (%d regions, %d instrs)@."
+      "translate time" (total p) p.regions p.instrs;
+    List.iter
+      (fun (name, s) ->
+        if s > 0.0 then
+          Format.fprintf ppf "    %-24s %.4f s@." (name ^ " phase") s)
+      (phases p);
+    Format.fprintf ppf "  %-26s %.1f@." "regions / second"
+      (regions_per_second p)
+  end

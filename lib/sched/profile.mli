@@ -8,7 +8,14 @@
     timing costs nothing.  Allocation work interleaved with the
     scheduling loop ([Smarq_alloc.on_schedule]) is charged to the
     scheduling phase — only allocator construction and finalization
-    land in [alloc_s]. *)
+    land in [alloc_s].
+
+    The driver owns one collector per run, threads it through every
+    {!Opt.Optimizer.optimize} call (initial builds and
+    re-optimizations alike), and surfaces it as [Runtime.Stats.translate].
+    All timers are host wall-clock seconds — non-deterministic, so
+    run-equality comparisons must zero them out, like
+    [Runtime.Stats.wall_seconds]. *)
 
 type t = {
   mutable alias_s : float;
@@ -38,5 +45,17 @@ val add_sched : t -> float -> unit
 val add_emit : t -> float -> unit
 val note_region : t -> instrs:int -> unit
 val total : t -> float
+(** Sum of all phase timers. *)
+
+val regions_per_second : t -> float
+val instrs_per_second : t -> float
+
+val phases : t -> (string * float) list
+(** [(phase name, seconds)] in pipeline order — the translate report's
+    JSON fields. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints nothing when no time was recorded. *)
+
 val accumulate : into:t -> t -> unit
 val reset : t -> unit

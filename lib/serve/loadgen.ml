@@ -103,3 +103,15 @@ let run server spec =
     offered_rps =
       (match spec.mode with Closed _ -> None | Open { rate } -> Some rate);
   }
+
+let result_json ~domains r =
+  Printf.sprintf
+    "{\"mode\":\"%s\",\"domains\":%d,\"offered_rps\":%s,\"elapsed_s\":%.6f,\
+     \"throughput_rps\":%.3f,\"report\":%s}"
+    (match r.offered_rps with Some _ -> "open" | None -> "closed")
+    domains
+    (match r.offered_rps with
+    | Some rate -> Printf.sprintf "%.3f" rate
+    | None -> "null")
+    r.elapsed_s r.throughput_rps
+    (Server.report_json r.report)

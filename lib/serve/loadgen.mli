@@ -36,3 +36,10 @@ val run : Server.t -> spec -> result
     [batch] setting is deadlock-free.  Raises [Invalid_argument] on a
     non-positive pipeline/rate/tenant count or an empty job array.  The
     server is left running — callers shut it down. *)
+
+val result_json : domains:int -> result -> string
+(** One JSON object: [mode] (["open"]/["closed"]), [domains] (the
+    server's pool size, which the result does not record),
+    [offered_rps] ([null] closed loop), [elapsed_s], [throughput_rps]
+    and the server [report] ({!Server.report_json}).  The capacity
+    bench's per-point record and [smarq_run serve --report]. *)

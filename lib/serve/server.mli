@@ -141,19 +141,6 @@ val shutdown : t -> unit
     pool.  Idempotent; concurrent callers all block until the single
     drain completes. *)
 
-val translate :
-  t ->
-  ?jobs:int ->
-  ?pipeline:Sched.Pipeline.t ->
-  config:Vliw.Config.t ->
-  Opt.Optimizer.request list ->
-  Exec.Translate.result
-(** {!Exec.Translate.replay} on the server's own pool: parallel
-    translation shares the long-running worker domains with request
-    service rather than nesting a second pool.  [jobs] bounds in-flight
-    requests (default: the pool size); artifacts come back in
-    submission order.  Raises [Invalid_argument] after {!shutdown}. *)
-
 val invalidate : t -> string -> unit
 (** Cross-shard invalidation of a guest label (self-modifying-code
     shootdown).  Call while no request is running. *)

@@ -169,7 +169,7 @@ let strip_timing (st : Runtime.Stats.t) =
   {
     st with
     Runtime.Stats.wall_seconds = 0.0;
-    translate = Runtime.Profile.create ();
+    translate = Sched.Profile.create ();
   }
 
 let prop_pipelines_bit_identical (seed, loops, iters) =
@@ -200,7 +200,10 @@ let prop_pipelines_bit_identical (seed, loops, iters) =
    must yield bit-identical artifacts in submission order, and the
    merged profile must count the same regions and instructions.  (The
    timer fields are wall measurements and legitimately differ run to
-   run; the integers and the artifacts may not.) *)
+   run; the integers and the artifacts may not.)  Each scheme is
+   captured twice: with the default unbounded cache, and under LRU with
+   a capacity small enough that the capture holds eviction and
+   oversize-rejection re-translations. *)
 let all_schemes =
   [
     Smarq.Scheme.Smarq 64;
@@ -219,9 +222,10 @@ let prop_parallel_replay_identical (seed, loops, iters) =
     ~finally:(fun () -> Exec.Pool.shutdown pool)
     (fun () ->
       List.for_all
-        (fun scheme ->
+        (fun (scheme, tcache_policy, tcache_capacity) ->
           let _, cfg, reqs =
-            Exec.Translate.capture_program ~fuel:50_000_000 ~scheme program
+            Exec.Translate.capture_program ~fuel:50_000_000 ~tcache_policy
+              ?tcache_capacity ~scheme program
           in
           let seq = Exec.Translate.replay ~jobs:1 ~config:cfg reqs in
           List.length seq.Exec.Translate.artifacts = List.length reqs
@@ -237,7 +241,13 @@ let prop_parallel_replay_identical (seed, loops, iters) =
                  && par.Exec.Translate.profile.Sched.Profile.instrs
                     = seq.Exec.Translate.profile.Sched.Profile.instrs)
                [ 1; 2; 4 ])
-        all_schemes)
+        (List.concat_map
+           (fun scheme ->
+             [
+               (scheme, Tcache.Policy.Unbounded, None);
+               (scheme, Tcache.Policy.Lru, Some 32);
+             ])
+           all_schemes))
 
 (* The captured batch replayed under the reference pipeline must also
    match a reference driver run's artifacts — capture is a faithful
