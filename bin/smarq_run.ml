@@ -654,13 +654,13 @@ let translate_cmd =
     Arg.(value & opt positive_int_conv 8 & info [ "unroll" ] ~docv:"N" ~doc)
   in
   let reps_arg =
-    let doc = "Replay repetitions per pipeline (timing stability)." in
+    let doc = "Replay repetitions per side (timing stability)." in
     Arg.(value & opt positive_int_conv 1 & info [ "reps" ] ~docv:"N" ~doc)
   in
   let min_speedup_arg =
     let doc =
       "Exit non-zero unless the fast pipeline beats the seed reference \
-       pipeline by at least this factor (translate-phase seconds)."
+       oracle by at least this factor (translate-phase seconds)."
     in
     Arg.(
       value & opt (some float) None & info [ "min-speedup" ] ~docv:"X" ~doc)
@@ -697,16 +697,14 @@ let translate_cmd =
     in
     (* one persistent pool across every rep of the -jt N sweep *)
     let pool = if jt > 1 then Some (Exec.Pool.create ~domains:jt ()) else None in
-    let sweep ~pipeline ~jobs =
+    let sweep replay =
       let profile = Sched.Profile.create () in
       let wall = ref 0.0 in
       let artifacts = ref [] in
       for rep = 1 to reps do
         List.iter
           (fun (cfg, reqs) ->
-            let r =
-              Exec.Translate.replay ?pool ~jobs ~pipeline ~config:cfg reqs
-            in
+            let r = replay ~config:cfg reqs in
             Sched.Profile.accumulate ~into:profile r.Exec.Translate.profile;
             wall := !wall +. r.Exec.Translate.wall_seconds;
             if rep = 1 then
@@ -716,13 +714,11 @@ let translate_cmd =
       (profile, !wall, List.rev !artifacts)
     in
     let fast, fast_wall, fast_arts =
-      sweep ~pipeline:Sched.Pipeline.Fast ~jobs:1
+      sweep (Exec.Translate.replay ?pool ~jobs:1)
     in
-    let reference, _, ref_arts =
-      sweep ~pipeline:Sched.Pipeline.Reference ~jobs:1
-    in
+    let reference, _, ref_arts = sweep Oracle.Translate.replay in
     let par =
-      Option.map (fun _ -> sweep ~pipeline:Sched.Pipeline.Fast ~jobs:jt) pool
+      Option.map (fun _ -> sweep (Exec.Translate.replay ?pool ~jobs:jt)) pool
     in
     Option.iter Exec.Pool.shutdown pool;
     let same arts =
@@ -733,7 +729,7 @@ let translate_cmd =
       && match par with Some (_, _, arts) -> same arts | None -> true
     in
     (* the gate compares the single-domain fast path against the seed
-       pipeline; the -jt N row is reported on its own — on a single-core
+       oracle; the -jt N row is reported on its own — on a single-core
        host its summed per-domain seconds include contention and would
        make the bar meaningless *)
     let speedup =
@@ -774,7 +770,7 @@ let translate_cmd =
           wall rps vs1)
       parallel;
     Printf.printf "artifacts: %s\nspeedup (reference / fast): %.2fx\n"
-      (if identical then "bit-identical across -jt and pipelines"
+      (if identical then "bit-identical across -jt and the oracle"
        else "DIVERGENT")
       speedup;
     (match report with
@@ -830,7 +826,7 @@ let translate_cmd =
     (Cmd.info "translate"
        ~doc:
          "Capture every optimize request of a suite run and replay the \
-          batch under the fast pipeline and the seed reference pipeline, \
+          batch under the fast pipeline and the seed reference oracle, \
           and (with --translate-jobs N > 1) the fast pipeline again over \
           N worker domains; reports per-phase seconds, regions/s and the \
           reference/fast speedup, and exits non-zero if any artifact \

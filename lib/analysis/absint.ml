@@ -69,19 +69,6 @@ let cset_scale k c =
     let rem = if stride = 0 then 0 else pos_mod (residue c * k) stride in
     guard (norm { lo; hi; stride; rem })
 
-let cset_mem c n =
-  n >= c.lo && n <= c.hi && (c.stride = 0 || pos_mod n c.stride = c.rem)
-
-(* Every member of [inner] lies in [outer]: range inclusion plus the
-   inner congruence class refining the outer one. *)
-let cset_subset inner outer =
-  outer.lo <= inner.lo && inner.hi <= outer.hi
-  &&
-  if outer.stride = 0 then inner.stride = 0 && inner.lo = outer.lo
-  else
-    pos_mod (residue inner) outer.stride = outer.rem
-    && (inner.stride = 0 || inner.stride mod outer.stride = 0)
-
 type sep = Ranges | Congruence of int
 
 let range_separated c1 w1 c2 w2 =
@@ -267,18 +254,3 @@ let analyze ~body =
   { addr }
 
 let address t id = Hashtbl.find_opt t.addr id
-
-let pp_origin ppf = function
-  | Const -> Format.fprintf ppf "const"
-  | Entry r -> Format.fprintf ppf "entry(%a)" Ir.Reg.pp r
-  | Opaque id -> Format.fprintf ppf "opaque(#%d)" id
-
-let pp_cset ppf c =
-  if c.stride = 0 then Format.fprintf ppf "{%d}" c.lo
-  else Format.fprintf ppf "[%d..%d]/%d+%d" c.lo c.hi c.stride c.rem
-
-let pp_value ppf v =
-  match v.origin with
-  | Const -> pp_cset ppf v.off
-  | _ ->
-    Format.fprintf ppf "%d*%a + %a" v.scale pp_origin v.origin pp_cset v.off

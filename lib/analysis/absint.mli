@@ -48,16 +48,6 @@ type value = {
 val origin_equal : origin -> origin -> bool
 val point : int -> cset
 
-val cset_add : cset -> cset -> cset option
-(** [None] when a bound exceeds the magnitude guard. *)
-
-val cset_mem : cset -> int -> bool
-(** Set membership, range and congruence. *)
-
-val cset_subset : cset -> cset -> bool
-(** [cset_subset inner outer]: every member of [inner] is a member of
-    [outer] — the entailment check witness replay relies on. *)
-
 (** Why two abstract addresses cannot overlap. *)
 type sep =
   | Ranges  (** the offset intervals, width-extended, are disjoint *)
@@ -81,6 +71,3 @@ val address : t -> int -> (value * int) option
     given instruction id; [None] for non-memory instructions and for
     addresses whose offsets overflowed the magnitude guard. *)
 
-val pp_origin : Format.formatter -> origin -> unit
-val pp_cset : Format.formatter -> cset -> unit
-val pp_value : Format.formatter -> value -> unit

@@ -27,16 +27,6 @@ let lease ~prev n =
     { n; bits = p.bits }
   | Some _ | None -> create n
 
-let union_into ~dst src =
-  if dst.n <> src.n then invalid_arg "Bitset.union_into: universe mismatch";
-  let len = Bytes.length dst.bits in
-  for b = 0 to len - 1 do
-    Bytes.unsafe_set dst.bits b
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst.bits b)
-         lor Char.code (Bytes.unsafe_get src.bits b)))
-  done
-
 let iter f t =
   for i = 0 to t.n - 1 do
     if mem t i then f i

@@ -15,9 +15,6 @@ val length : t -> int
 val mem : t -> int -> bool
 val add : t -> int -> unit
 val clear : t -> unit
-val union_into : dst:t -> t -> unit
-(** [union_into ~dst src] adds every element of [src] to [dst]; the two
-    must share a universe size. *)
 
 val iter : (int -> unit) -> t -> unit
 

@@ -104,32 +104,6 @@ let of_edge_list all =
         (fun e -> set ~first:e.first ~second:e.second ~flags:(flag_of_edge e))
         all)
 
-let strength_of = function
-  | May_alias.Must_alias -> Some Hard
-  | May_alias.May_alias -> Some Speculative
-  | May_alias.No_alias -> None
-
-(* Real dependences: X before Y, may access same memory, >= 1 store.
-
-   The reference builder is the seed's O(n^2) pairwise loop with a full
-   may-alias verdict per pair; it is kept verbatim as the oracle the
-   swept builder is differentially tested against. *)
-let real_edges_reference ~body ~alias =
-  let mems = Array.of_list (List.filter Ir.Instr.is_memory body) in
-  let n = Array.length mems in
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let x = mems.(i) and y = mems.(j) in
-      if Ir.Instr.is_store x || Ir.Instr.is_store y then
-        match strength_of (May_alias.verdict alias x y) with
-        | Some strength ->
-          acc := { first = x.id; second = y.id; kind = Real; strength } :: !acc
-        | None -> ()
-    done
-  done;
-  List.rev !acc
-
 (* The swept builder produces the same edge list (same pairs, same
    strengths, same order) without calling the pairwise verdict:
 
@@ -150,7 +124,7 @@ let real_edges_reference ~body ~alias =
      way a within-bucket disjoint pair becomes an edge.
 
    Edges are emitted as packed [(i * n + j) * 2 + hard?] keys into an
-   arena vector and sorted at the end, which restores the reference
+   arena vector and sorted at the end, which restores the seed pairwise
    builder's (i, j)-lexicographic order.  All node attributes live in
    arena-leased struct-of-arrays buffers (bases as compact reg codes,
    absent constant bases as [min_int]); the maps are open-addressed
@@ -329,6 +303,16 @@ let real_edges_swept ~arena ~body ~alias ~emit_edges =
 
 let find_instr body id = List.find_opt (fun (i : Ir.Instr.t) -> i.id = id) body
 
+let strength_of = function
+  | May_alias.Must_alias -> Some Hard
+  | May_alias.May_alias -> Some Speculative
+  | May_alias.No_alias -> None
+
+let extended ~first ~second verdict =
+  Option.map
+    (fun strength -> { first; second; kind = Extended; strength })
+    (strength_of verdict)
+
 (* EXTENDED-DEPENDENCE 1: load Z forwarded from X; every intervening
    store Y that may alias X yields Y ->dep X (backward order). *)
 let ext_load_forwarded ~alias ~source ~between =
@@ -336,24 +320,8 @@ let ext_load_forwarded ~alias ~source ~between =
     (fun (y : Ir.Instr.t) ->
       if not (Ir.Instr.is_store y) then None
       else
-        match May_alias.verdict alias y source with
-        | May_alias.No_alias -> None
-        | May_alias.Must_alias ->
-          Some
-            {
-              first = y.id;
-              second = source.Ir.Instr.id;
-              kind = Extended;
-              strength = Hard;
-            }
-        | May_alias.May_alias ->
-          Some
-            {
-              first = y.id;
-              second = source.Ir.Instr.id;
-              kind = Extended;
-              strength = Speculative;
-            })
+        extended ~first:y.id ~second:source.Ir.Instr.id
+          (May_alias.verdict alias y source))
     between
 
 (* EXTENDED-DEPENDENCE 2: store X eliminated, overwritten by Z; every
@@ -363,24 +331,8 @@ let ext_store_overwritten ~alias ~overwriter ~between =
     (fun (y : Ir.Instr.t) ->
       if not (Ir.Instr.is_load y) then None
       else
-        match May_alias.verdict alias overwriter y with
-        | May_alias.No_alias -> None
-        | May_alias.Must_alias ->
-          Some
-            {
-              first = overwriter.Ir.Instr.id;
-              second = y.id;
-              kind = Extended;
-              strength = Hard;
-            }
-        | May_alias.May_alias ->
-          Some
-            {
-              first = overwriter.Ir.Instr.id;
-              second = y.id;
-              kind = Extended;
-              strength = Speculative;
-            })
+        extended ~first:overwriter.Ir.Instr.id ~second:y.id
+          (May_alias.verdict alias overwriter y))
     between
 
 let ext_edges ~body ~alias ~eliminated =
@@ -411,46 +363,42 @@ let dedup_edges all =
       end)
     all
 
-let build ~body ~alias ?(eliminated = []) ?(reference = false) ?arena () =
+let build ~body ~alias ?(eliminated = []) ?arena () =
   let ext = ext_edges ~body ~alias ~eliminated in
-  if reference then
-    of_edge_list (dedup_edges (real_edges_reference ~body ~alias @ ext))
-  else begin
-    let arena = match arena with Some a -> a | None -> Arena.create () in
-    (* the swept pass emits unique pairs, so only sorted-adjacent
-       duplicate keys (a pair recorded twice by pass 3) and ext-vs-ext
-       collisions need deduplication — real and extended edges can
-       never collide on (first, second, kind) *)
-    let ext = dedup_edges ext in
-    let n_ext = List.length ext in
-    let result = ref None in
-    real_edges_swept ~arena ~body ~alias ~emit_edges:(fun ~n ~id ~keys ->
-        let n_real = ref 0 in
-        for k = 0 to keys.Arena.len - 1 do
-          if k = 0 || keys.Arena.buf.(k) <> keys.Arena.buf.(k - 1) then
-            incr n_real
-        done;
-        let n_real = !n_real in
-        result :=
-          Some
-            (assemble ~n_edges:(n_real + n_ext) (fun set ->
-                 for k = 0 to keys.Arena.len - 1 do
-                   let key = keys.Arena.buf.(k) in
-                   if k = 0 || key <> keys.Arena.buf.(k - 1) then begin
-                     let pair = key lsr 1 in
-                     set ~first:id.(pair / n) ~second:id.(pair mod n)
-                       ~flags:(if key land 1 = 1 then 2 else 0)
-                   end
-                 done;
-                 List.iter
-                   (fun e ->
-                     set ~first:e.first ~second:e.second
-                       ~flags:(flag_of_edge e))
-                   ext)));
-    match !result with
-    | Some t -> t
-    | None -> of_edge_list ext (* no memory operations in the body *)
-  end
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  (* the swept pass emits unique pairs, so only sorted-adjacent
+     duplicate keys (a pair recorded twice by pass 3) and ext-vs-ext
+     collisions need deduplication — real and extended edges can
+     never collide on (first, second, kind) *)
+  let ext = dedup_edges ext in
+  let n_ext = List.length ext in
+  let result = ref None in
+  real_edges_swept ~arena ~body ~alias ~emit_edges:(fun ~n ~id ~keys ->
+      let n_real = ref 0 in
+      for k = 0 to keys.Arena.len - 1 do
+        if k = 0 || keys.Arena.buf.(k) <> keys.Arena.buf.(k - 1) then
+          incr n_real
+      done;
+      let n_real = !n_real in
+      result :=
+        Some
+          (assemble ~n_edges:(n_real + n_ext) (fun set ->
+               for k = 0 to keys.Arena.len - 1 do
+                 let key = keys.Arena.buf.(k) in
+                 if k = 0 || key <> keys.Arena.buf.(k - 1) then begin
+                   let pair = key lsr 1 in
+                   set ~first:id.(pair / n) ~second:id.(pair mod n)
+                     ~flags:(if key land 1 = 1 then 2 else 0)
+                 end
+               done;
+               List.iter
+                 (fun e ->
+                   set ~first:e.first ~second:e.second
+                     ~flags:(flag_of_edge e))
+                 ext)));
+  match !result with
+  | Some t -> t
+  | None -> of_edge_list ext (* no memory operations in the body *)
 
 let edges t =
   let acc = ref [] in
@@ -484,15 +432,6 @@ let iter_into t id f =
         ~strength:(strength_at t k)
     done
   | None -> ()
-
-let mem_dep_pairs t =
-  let acc = ref [] in
-  for k = t.n_edges - 1 downto 0 do
-    match kind_at t k with
-    | Real -> acc := (t.e_first.(k), t.e_second.(k), strength_at t k) :: !acc
-    | Extended -> ()
-  done;
-  !acc
 
 let iter_mem_deps t f =
   for k = 0 to t.n_edges - 1 do

@@ -57,7 +57,6 @@ val build :
   body:Ir.Instr.t list ->
   alias:May_alias.t ->
   ?eliminated:(elimination * Ir.Instr.t list) list ->
-  ?reference:bool ->
   ?arena:Arena.t ->
   unit ->
   t
@@ -66,13 +65,12 @@ val build :
     between the two endpoints (needed because eliminated instructions
     are no longer in [body]).
 
-    By default real dependences are built by the near-linear swept
-    builder (bucket memory operations by base-register generation;
-    decide within-bucket pairs with a displacement-sorted interval
-    sweep; enumerate cross-bucket pairs output-sensitively).
-    [~reference:true] selects the seed O(n{^ 2}) pairwise builder
-    instead; both produce the same edge list in the same order, and the
-    test suite checks them against each other.
+    Real dependences are built by a near-linear swept builder (bucket
+    memory operations by base-register generation; decide within-bucket
+    pairs with a displacement-sorted interval sweep; enumerate
+    cross-bucket pairs output-sensitively).  It produces the same edge
+    list in the same order as the seed's O(n{^ 2}) pairwise builder,
+    which the test suite keeps as a differential oracle.
 
     [?arena] lends the swept builder reusable scratch buffers (see
     {!Arena}); the resulting graph never aliases arena storage. *)
@@ -82,10 +80,6 @@ val edges : t -> edge list
 val edges_into : t -> int -> edge list
 (** Edges whose [second] is the given instruction id — the set the
     allocator examines when that instruction is scheduled. *)
-
-val mem_dep_pairs : t -> (int * int * strength) list
-(** Real dependences as (earlier, later, strength) in original order,
-    for the scheduler. *)
 
 (** {2 Allocation-free traversal}
 
@@ -108,6 +102,20 @@ val iter_into :
 
 val iter_mem_deps :
   t -> (first:int -> second:int -> strength:strength -> unit) -> unit
-(** Real dependences only, in [mem_dep_pairs] order. *)
+(** Real dependences only, in [edges] order. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Pieces the seed pairwise builder in the test oracle reuses} *)
+
+val strength_of : May_alias.verdict -> strength option
+val of_edge_list : edge list -> t
+
+val ext_edges :
+  body:Ir.Instr.t list ->
+  alias:May_alias.t ->
+  eliminated:(elimination * Ir.Instr.t list) list ->
+  edge list
+
+val dedup_edges : edge list -> edge list
+(** Keeps the first edge per (first, second, kind). *)

@@ -13,7 +13,8 @@
 
     Certification is eager and deterministic: the certificate for a
     given body and alias analysis is a pure function of both, so the
-    fast and reference pipelines produce bit-identical artifacts. *)
+    translation and its differential oracle produce bit-identical
+    artifacts. *)
 
 (** Abstract address of one endpoint, as claimed by the certifier. *)
 type fact = {
@@ -56,6 +57,3 @@ val of_witnesses : witness list -> t
     by the mutation harness to forge corrupted certificates. *)
 
 val count : t -> int
-
-val pp_witness : Format.formatter -> witness -> unit
-val witness_to_json : witness -> string

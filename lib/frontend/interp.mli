@@ -10,8 +10,6 @@ type stats = {
   block_counts : (Ir.Instr.label, int) Hashtbl.t;
 }
 
-val fresh_stats : unit -> stats
-
 exception Out_of_fuel
 
 val exec_block :

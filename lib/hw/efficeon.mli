@@ -10,12 +10,9 @@
 
 type t
 
-val encoding_limit : int
-(** 15, the paper's stated Efficeon bound. *)
-
 val create : ?size:int -> unit -> t
-(** Defaults to {!encoding_limit}.  Raises [Invalid_argument] when
-    [size] exceeds {!encoding_limit} or is non-positive. *)
+(** Defaults to 15, the paper's stated Efficeon bound.  Raises
+    [Invalid_argument] when [size] exceeds it or is non-positive. *)
 
 val size : t -> int
 val detector : t -> Detector.t

@@ -120,4 +120,3 @@ val latency : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val pp_operand : Format.formatter -> operand -> unit
-val pp_addr : Format.formatter -> addr -> unit

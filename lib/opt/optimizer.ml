@@ -24,8 +24,21 @@ type request = {
   fresh_base : int;
 }
 
-let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
-    ~pipeline ~profile ~arena (sb : Ir.Superblock.t) =
+module type PHASES = sig
+  val depgraph :
+    body:Ir.Instr.t list ->
+    alias:Analysis.May_alias.t ->
+    ?eliminated:(Analysis.Depgraph.elimination * Ir.Instr.t list) list ->
+    ?arena:Analysis.Arena.t ->
+    unit ->
+    Analysis.Depgraph.t
+
+  val hazards : Sched.Hazards.builder
+  val schedule_core : Sched.List_sched.core
+end
+
+let build_once (module Phases : PHASES) ~policy ~issue_width ~mem_ports
+    ~latency ~fresh_id ~known_alias ~profile ~arena (sb : Ir.Superblock.t) =
   let module P = Sched.Profile in
   let facts_for body =
     if policy.Sched.Policy.static_disambiguation then
@@ -33,7 +46,7 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
     else None
   in
   (* Eager certification keeps the artifact a pure function of the
-     superblock: both pipelines derive identical witnesses in one shot
+     superblock: every phase set derives identical witnesses in one shot
      instead of memoizing on verdict-consultation order. *)
   let certify_into alias body =
     if policy.Sched.Policy.certify then begin
@@ -64,20 +77,19 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
   let cert = certify_into alias' elim.Elim.body in
   let deps =
     P.time profile P.add_depgraph (fun () ->
-        Analysis.Depgraph.build ~body:elim.Elim.body ~alias:alias'
-          ~eliminated:elim.Elim.eliminations
-          ~reference:(Sched.Pipeline.is_reference pipeline)
-          ?arena ())
+        Phases.depgraph ~body:elim.Elim.body ~alias:alias'
+          ~eliminated:elim.Elim.eliminations ?arena ())
   in
   let outcome =
-    Sched.List_sched.schedule ~sb:sb' ~deps ~policy ~issue_width ~mem_ports
-      ~latency ~fresh_id ~extra_assumed:elim.Elim.assumed_no_alias ~pipeline
-      ?profile ?arena ()
+    Sched.List_sched.schedule ~build_hazards:Phases.hazards
+      ~core:Phases.schedule_core ~sb:sb' ~deps ~policy ~issue_width ~mem_ports
+      ~latency ~fresh_id ~extra_assumed:elim.Elim.assumed_no_alias ?profile
+      ?arena ()
   in
   (outcome, elim, deps, cert)
 
-let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
-    ?(known_alias = []) ?(pipeline = Sched.Pipeline.Fast) ?profile ?arena sb =
+let optimize_with phases ~policy ~issue_width ~mem_ports ~latency ~fresh_id
+    ?(known_alias = []) ?profile ?arena sb =
   let work_units = 2 * Ir.Superblock.instr_count sb in
   let finish ~fell_back ~policy_used
       ( (outcome : Sched.List_sched.outcome),
@@ -117,8 +129,8 @@ let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
     }
   in
   let attempt policy =
-    build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
-      ~pipeline ~profile ~arena sb
+    build_once phases ~policy ~issue_width ~mem_ports ~latency ~fresh_id
+      ~known_alias ~profile ~arena sb
   in
   let has_elims =
     policy.Sched.Policy.allow_load_load_forward
@@ -166,7 +178,23 @@ let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
    in the request).  The private ref also makes replay order-free —
    requests share no mutable state, which is what lets Exec.Translate
    fan them out across domains. *)
-let run_request ~issue_width ~mem_ports ~latency ?pipeline ?profile ?arena r =
-  optimize ~policy:r.policy ~issue_width ~mem_ports ~latency
-    ~fresh_id:(ref r.fresh_base) ~known_alias:r.known_alias ?pipeline ?profile
-    ?arena r.sb
+let run_request_with phases ~issue_width ~mem_ports ~latency ?profile ?arena
+    r =
+  optimize_with phases ~policy:r.policy ~issue_width ~mem_ports ~latency
+    ~fresh_id:(ref r.fresh_base) ~known_alias:r.known_alias ?profile ?arena
+    r.sb
+
+module Make (Phases : PHASES) = struct
+  let optimize = optimize_with (module Phases)
+  let run_request = run_request_with (module Phases)
+end
+
+module Fast = struct
+  let depgraph = Analysis.Depgraph.build
+  let hazards = Sched.Hazards.build
+  let schedule_core = Sched.List_sched.schedule_core
+end
+
+module type S = module type of Make (Fast)
+
+include Make (Fast)

@@ -42,26 +42,6 @@ type t = {
           runtime-facing projection. *)
 }
 
-val optimize :
-  policy:Sched.Policy.t ->
-  issue_width:int ->
-  mem_ports:int ->
-  latency:(Ir.Instr.t -> int) ->
-  fresh_id:int ref ->
-  ?known_alias:(int * int) list ->
-  ?pipeline:Sched.Pipeline.t ->
-  ?profile:Sched.Profile.t ->
-  ?arena:Analysis.Arena.t ->
-  Ir.Superblock.t ->
-  t
-(** [pipeline] selects the fast (default) or reference translation
-    pipeline — both produce bit-identical regions.  [profile], when
-    given, accumulates per-phase translation timers and per-region
-    instruction counts across every attempt (including fallback
-    rebuilds).  [arena] lends the depgraph and hazard builders reusable
-    scratch buffers; one arena serves one sequence of translations and
-    must never be shared between domains. *)
-
 (** A self-contained translation request: everything [optimize] reads,
     captured at the moment the driver would have translated.  Replaying
     a request is deterministic and independent of every other request —
@@ -73,14 +53,55 @@ type request = {
   fresh_base : int;  (** driver id counter at capture time *)
 }
 
-val run_request :
-  issue_width:int ->
-  mem_ports:int ->
-  latency:(Ir.Instr.t -> int) ->
-  ?pipeline:Sched.Pipeline.t ->
-  ?profile:Sched.Profile.t ->
-  ?arena:Analysis.Arena.t ->
-  request ->
-  t
-(** Replay a captured request; bit-identical to the optimize call it
-    was captured from. *)
+(** The three phases with a seed implementation kept as a test oracle.
+    The product includes {!Make} applied to the fast ones; the oracle
+    applies it to the seed's, so everything else stays one copy. *)
+
+module type PHASES = sig
+  val depgraph :
+    body:Ir.Instr.t list ->
+    alias:Analysis.May_alias.t ->
+    ?eliminated:(Analysis.Depgraph.elimination * Ir.Instr.t list) list ->
+    ?arena:Analysis.Arena.t ->
+    unit ->
+    Analysis.Depgraph.t
+
+  val hazards : Sched.Hazards.builder
+  val schedule_core : Sched.List_sched.core
+end
+
+module type S = sig
+  val optimize :
+    policy:Sched.Policy.t ->
+    issue_width:int ->
+    mem_ports:int ->
+    latency:(Ir.Instr.t -> int) ->
+    fresh_id:int ref ->
+    ?known_alias:(int * int) list ->
+    ?profile:Sched.Profile.t ->
+    ?arena:Analysis.Arena.t ->
+    Ir.Superblock.t ->
+    t
+  (** [profile], when given, accumulates per-phase translation timers
+      and per-region instruction counts across every attempt (including
+      fallback rebuilds).  [arena] lends the depgraph and hazard
+      builders reusable scratch buffers; one arena serves one sequence
+      of translations and must never be shared between domains. *)
+
+  val run_request :
+    issue_width:int ->
+    mem_ports:int ->
+    latency:(Ir.Instr.t -> int) ->
+    ?profile:Sched.Profile.t ->
+    ?arena:Analysis.Arena.t ->
+    request ->
+    t
+  (** Replay a captured request; bit-identical to the optimize call it
+      was captured from. *)
+end
+
+module Make (Phases : PHASES) : S
+
+include S
+(** Over {!Analysis.Depgraph.build}, {!Sched.Hazards.build} and
+    {!Sched.List_sched.schedule_core}. *)

@@ -84,8 +84,6 @@ let make_cache ?capacity ~policy () : cache =
 let cache_telemetry (c : cache) = Tcache.Store.telemetry c
 let cache_invalidate (c : cache) label = Tcache.Store.invalidate c label
 let cache_flush (c : cache) = Tcache.Store.flush c
-let cache_length (c : cache) = Tcache.Store.length c
-let cache_resident_instrs (c : cache) = Tcache.Store.resident_instrs c
 
 type outcome =
   | Completed
@@ -175,7 +173,7 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
     ?(hot_threshold = 50) ?(max_reopts = 10) ?(fuel = 2_000_000)
     ?(unroll = 1) ?(tcache_policy = Tcache.Policy.Unbounded)
     ?tcache_capacity ?tcache ?watchdog ?(hooks = no_hooks)
-    ?(pipeline = Sched.Pipeline.Fast) ?(verify = Check.Verifier.Off) ?capture
+    ?(verify = Check.Verifier.Off) ?capture
     ?(certify = false) ~scheme program =
   let watchdog =
     match watchdog with Some w -> max 1 w | None -> (2 * max_reopts) + 10
@@ -286,7 +284,7 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
     Opt.Optimizer.optimize ~policy
       ~issue_width:config.Vliw.Config.issue_width
       ~mem_ports:config.Vliw.Config.mem_ports ~latency ~fresh_id ~known_alias
-      ~pipeline ~profile:translate_profile ~arena sb
+      ~profile:translate_profile ~arena sb
   in
   let optimize_superblock ~known_alias sb =
     optimize_with ~policy ~known_alias sb

@@ -24,9 +24,6 @@ val percentile : t -> float -> float
     it ([q = 0.5] the median, [q = 1.0] the maximum).  0 when empty;
     raises [Invalid_argument] outside [0, 1]. *)
 
-val min_value : t -> float
-val max_value : t -> float
-
 val merge : into:t -> t -> unit
 (** Fold every sample of [t] into [into]. *)
 

@@ -14,15 +14,14 @@
     The list is normalized: ascending (first, second) order, no
     duplicates.
 
-    The default builder emits the {e reduced} graph: exit fences become
-    two edges per instruction (nearest blocking exit on each side, with
-    the branch chain carrying transitivity) instead of all blocked
+    The builder emits the {e reduced} graph: exit fences become two
+    edges per instruction (nearest blocking exit on each side, with the
+    branch chain carrying transitivity) instead of all blocked
     (instruction, exit) pairs, and a transitive reduction prunes
     redundant edges.  Because every latency is at least one cycle, any
     edge set with the seed's transitive closure schedules identically
-    (see DESIGN.md); [~reference:true] requests the seed's explicit
-    all-pairs, unreduced graph, which the differential tests compare
-    against. *)
+    (see DESIGN.md); the seed's explicit all-pairs, unreduced builder is
+    kept with the tests as the differential oracle. *)
 
 type t = {
   ids : int array;  (** instruction ids in body order *)
@@ -32,21 +31,36 @@ type t = {
   dropped : (int * int) list;  (** speculated-away may-alias pairs *)
 }
 
-val build :
+type builder =
   sb:Ir.Superblock.t ->
   deps:Analysis.Depgraph.t ->
   policy:Policy.t ->
-  ?reference:bool ->
   ?arena:Analysis.Arena.t ->
   unit ->
   t
-(** [?arena] lends the default builder reusable scratch buffers (see
-    {!Analysis.Arena}); the result never aliases arena storage.  The
-    reference builder ignores it. *)
+
+val build : builder
+(** [?arena] lends the builder reusable scratch buffers (see
+    {!Analysis.Arena}); the result never aliases arena storage. *)
 
 val preds : t -> int -> int list
 val succs : t -> int -> int list
 
-val instr_ids : t -> int array
-(** Instruction ids in body order — the dense index shared with the
-    scheduler. *)
+(** {2 Pieces the seed builder in the test oracle reuses}
+
+    Edges run between body positions and are reported through [add]. *)
+
+val index_body :
+  Ir.Superblock.t -> Ir.Instr.t array * int array * (int, int) Hashtbl.t
+(** The body as an array, its instruction ids, and id -> position. *)
+
+val memory_edges :
+  arr:Ir.Instr.t array ->
+  pos_of:(int, int) Hashtbl.t ->
+  deps:Analysis.Depgraph.t ->
+  policy:Policy.t ->
+  add:(int -> int -> unit) ->
+  (int * int) list
+(** Returns the speculative pairs the policy dropped (unsorted). *)
+
+val branch_chain : arr:Ir.Instr.t array -> add:(int -> int -> unit) -> unit

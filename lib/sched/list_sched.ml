@@ -30,133 +30,10 @@ type issued = {
   length : int;
 }
 
-(* The seed scheduler: rescan the whole body every cycle.  Kept as the
-   reference the heap core is differentially tested against. *)
-let schedule_core_reference ~sb ~hazards ~heights ~issue_width ~mem_ports
-    ~latency ~alloc =
-  let body = Array.of_list sb.Ir.Superblock.body in
-  let n = Array.length body in
-  let by_id = Hashtbl.create (n * 2) in
-  Array.iter (fun (i : Ir.Instr.t) -> Hashtbl.replace by_id i.id i) body;
-  let position = Hashtbl.create (n * 2) in
-  Array.iteri (fun idx (i : Ir.Instr.t) -> Hashtbl.replace position i.id idx)
-    body;
-  let scheduled_at = Hashtbl.create (n * 2) in
-  let is_scheduled id = Hashtbl.mem scheduled_at id in
-  (* memory ops in program order, for non-speculation mode *)
-  let mem_ids_in_order =
-    Array.to_list body
-    |> List.filter Ir.Instr.is_memory
-    |> List.map (fun (i : Ir.Instr.t) -> i.id)
-  in
-  let next_mem_index = ref 0 in
-  let mem_ids_arr = Array.of_list mem_ids_in_order in
-  let advance_next_mem () =
-    while
-      !next_mem_index < Array.length mem_ids_arr
-      && is_scheduled mem_ids_arr.(!next_mem_index)
-    do
-      incr next_mem_index
-    done
-  in
-  let earliest id =
-    List.fold_left
-      (fun acc p ->
-        match Hashtbl.find_opt scheduled_at p with
-        | Some c ->
-          let pi = Hashtbl.find by_id p in
-          max acc (c + latency pi)
-        | None -> max_int)
-      0
-      (Hazards.preds hazards id)
-  in
-  let height id = Option.value (Hashtbl.find_opt heights id) ~default:1 in
-  let used_nonspec = ref false in
-  let seq = ref [] in
-  let remaining = ref n in
-  let cycle = ref 0 in
-  let stall_guard = ref 0 in
-  while !remaining > 0 do
-    let c = !cycle in
-    (* non-speculation mode? *)
-    let nonspec =
-      match alloc with
-      | Some a -> Smarq_alloc.overflow_risk a ~lookahead_p:2
-      | None -> false
-    in
-    if nonspec then used_nonspec := true;
-    advance_next_mem ();
-    let mem_allowed id =
-      if not nonspec then true
-      else
-        !next_mem_index < Array.length mem_ids_arr
-        && mem_ids_arr.(!next_mem_index) = id
-    in
-    (* gather ready instructions *)
-    let ready = ref [] in
-    Array.iter
-      (fun (i : Ir.Instr.t) ->
-        if (not (is_scheduled i.id)) && earliest i.id <= c then
-          if Ir.Instr.is_memory i then begin
-            if mem_allowed i.id then ready := i :: !ready
-          end
-          else ready := i :: !ready)
-      body;
-    let ready =
-      List.sort
-        (fun (a : Ir.Instr.t) (b : Ir.Instr.t) ->
-          let c1 = Int.compare (height b.id) (height a.id) in
-          if c1 <> 0 then c1
-          else
-            Int.compare
-              (Hashtbl.find position a.id)
-              (Hashtbl.find position b.id))
-        !ready
-    in
-    let slots = ref issue_width and mslots = ref mem_ports in
-    let branch_used = ref false in
-    let issued_this_cycle = ref 0 in
-    List.iter
-      (fun (i : Ir.Instr.t) ->
-        let is_mem = Ir.Instr.is_memory i in
-        let is_br = Ir.Instr.is_branch i in
-        if
-          !slots > 0
-          && ((not is_mem) || !mslots > 0)
-          && ((not is_br) || not !branch_used)
-        then begin
-          (* issue *)
-          Hashtbl.replace scheduled_at i.id c;
-          decr slots;
-          if is_mem then begin
-            decr mslots;
-            match alloc with
-            | Some a -> Smarq_alloc.on_schedule a i
-            | None -> ()
-          end;
-          if is_br then branch_used := true;
-          seq := (c, i) :: !seq;
-          decr remaining;
-          incr issued_this_cycle;
-          if is_mem && nonspec then advance_next_mem ()
-        end)
-      ready;
-    if !issued_this_cycle = 0 then begin
-      incr stall_guard;
-      if !stall_guard > n + 1000 then
-        raise
-          (Unschedulable
-             (Printf.sprintf
-                "no progress at cycle %d with %d instructions remaining" c
-                !remaining))
-    end
-    else stall_guard := 0;
-    incr cycle
-  done;
-  let length =
-    1 + List.fold_left (fun acc (c, _) -> max acc c) 0 !seq
-  in
-  ({ seq = !seq; length }, !used_nonspec)
+type core =
+  sb:Ir.Superblock.t -> hazards:Hazards.t -> heights:(int, int) Hashtbl.t ->
+  issue_width:int -> mem_ports:int -> latency:(Ir.Instr.t -> int) ->
+  alloc:Smarq_alloc.t option -> issued * bool
 
 (* Binary max-heap over packed int priorities, with a parallel payload
    array of body positions.  Entries are never removed eagerly: a
@@ -226,7 +103,8 @@ module Heap = struct
 end
 
 (* Incremental ready-set scheduler.  Same per-cycle decisions as the
-   reference core, without the per-cycle body rescan:
+   seed core (which rescans the whole body every cycle, and is kept
+   with the tests as the differential oracle), without the rescan:
 
    - indegree counters over the hazard graph replace the [earliest]
      recomputation: an instruction's release cycle is finalized when
@@ -237,15 +115,15 @@ end
      original position breaking ties, a total order because positions
      are unique;
    - issuing greedily from the merged heap tops under the slot /
-     memory-port / one-branch limits reproduces the reference walk of
+     memory-port / one-branch limits reproduces the seed walk of
      the sorted ready list exactly, because resources only shrink
      within a cycle: the next instruction the walk would accept is
      always the highest-priority top whose class still has capacity;
    - in non-speculation mode the memory heap is bypassed — the only
      admissible memory candidate is the next program-order memory op,
      checked directly (and at most one issues per cycle, as in the
-     reference core, which gathers ready candidates before issuing). *)
-let schedule_core_fast ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency
+     seed core, which gathers ready candidates before issuing). *)
+let schedule_core ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency
     ~alloc =
   let body = Array.of_list sb.Ir.Superblock.body in
   let n = Array.length body in
@@ -334,7 +212,7 @@ let schedule_core_fast ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency
       if nonspec then used_nonspec := true;
       advance_next_mem ();
       (* the single admissible memory candidate under non-speculation
-         mode, fixed at cycle start exactly like the reference gather *)
+         mode, fixed at cycle start exactly like the seed gather *)
       let nonspec_mem =
         ref
           (if not nonspec then None
@@ -478,12 +356,11 @@ let materialize ~issued ~annots ~rotations ~amovs ~fresh_id =
   Array.init issued.length (fun c ->
       List.rev (Option.value (Hashtbl.find_opt bundles_tbl c) ~default:[]))
 
-let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
-    ?(extra_assumed = []) ?(pipeline = Pipeline.Fast) ?profile ?arena () =
-  let reference = Pipeline.is_reference pipeline in
+let schedule ~build_hazards ~core ~sb ~deps ~policy ~issue_width
+    ~mem_ports ~latency ~fresh_id ?(extra_assumed = []) ?profile ?arena () =
   let hazards, heights =
     Profile.time profile Profile.add_hazards (fun () ->
-        let hazards = Hazards.build ~sb ~deps ~policy ~reference ?arena () in
+        let hazards = build_hazards ~sb ~deps ~policy ?arena () in
         let heights =
           Priority.heights ~body:sb.Ir.Superblock.body ~hazards ~latency
         in
@@ -499,9 +376,6 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
         | Policy.Naive_queue_scheme | Policy.Mask_scheme | Policy.Alat_scheme
         | Policy.No_scheme ->
           None)
-  in
-  let core =
-    if reference then schedule_core_reference else schedule_core_fast
   in
   let issued, used_nonspec =
     Profile.time profile Profile.add_sched (fun () ->

@@ -46,7 +46,30 @@ type outcome = {
 
 exception Unschedulable of string
 
+type issued = {
+  seq : (int * Ir.Instr.t) list;  (** (cycle, instruction), newest first *)
+  length : int;  (** cycles *)
+}
+
+(** A scheduling core: the issue sequence, and whether non-speculation
+    mode was used. *)
+type core =
+  sb:Ir.Superblock.t ->
+  hazards:Hazards.t ->
+  heights:(int, int) Hashtbl.t ->
+  issue_width:int ->
+  mem_ports:int ->
+  latency:(Ir.Instr.t -> int) ->
+  alloc:Smarq_alloc.t option ->
+  issued * bool
+
+val schedule_core : core
+(** The incremental ready-queue core; bit-identical to the seed's
+    per-cycle rescan, which the test oracle keeps. *)
+
 val schedule :
+  build_hazards:Hazards.builder ->
+  core:core ->
   sb:Ir.Superblock.t ->
   deps:Analysis.Depgraph.t ->
   policy:Policy.t ->
@@ -55,7 +78,6 @@ val schedule :
   latency:(Ir.Instr.t -> int) ->
   fresh_id:int ref ->
   ?extra_assumed:(int * int) list ->
-  ?pipeline:Pipeline.t ->
   ?profile:Profile.t ->
   ?arena:Analysis.Arena.t ->
   unit ->
@@ -67,9 +89,6 @@ val schedule :
     the physical alias registers — callers fall back to a
     non-speculative build of the region.
 
-    [pipeline] selects between the incremental ready-queue scheduler
-    over the reduced hazard graph ({!Pipeline.Fast}, default) and the
-    seed per-cycle rescan over the unreduced graph
-    ({!Pipeline.Reference}); both produce bit-identical regions.
-    [profile] accumulates per-phase translation timers when given;
-    [arena] lends the hazard builder reusable scratch buffers. *)
+    [build_hazards] and [core] are the swappable phases (see
+    [Opt.Optimizer.PHASES]).  [profile] accumulates per-phase
+    translation timers when given; [arena] is lent to [build_hazards]. *)

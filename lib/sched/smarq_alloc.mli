@@ -64,9 +64,5 @@ val overflow_risk : t -> lookahead_p:int -> bool
     exceeding the physical count?  The scheduler switches to
     non-speculation mode while this is true. *)
 
-val unscheduled_ext_p : t -> int
-(** Number of not-yet-scheduled operations that extended dependences
-    will force to take a register even without reordering. *)
-
 val finish : t -> result
 (** Call once after all memory operations are scheduled. *)

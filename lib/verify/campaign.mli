@@ -51,7 +51,6 @@ type cross_check =
   | Both_flag
 
 val cross_check_of_entry : Oracle.entry -> cross_check
-val cross_check_name : cross_check -> string
 
 val run_program :
   config -> name:string -> (unit -> Ir.Program.t) -> run list

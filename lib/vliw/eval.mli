@@ -9,7 +9,6 @@
     functional units, not numerics. *)
 
 val operand_value : Machine.t -> Ir.Instr.operand -> int
-val addr_of : Machine.t -> Ir.Instr.addr -> int
 
 val access_of : Machine.t -> Ir.Instr.t -> Hw.Access.t option
 (** Runtime access range of a load/store; [None] otherwise. *)

@@ -31,6 +31,11 @@ let sb_of body =
 
 let default_latency = Vliw.Config.latency Vliw.Config.default
 
+(* The list scheduler over the product's hazard builder and core. *)
+let schedule =
+  Sched.List_sched.schedule ~build_hazards:Sched.Hazards.build
+    ~core:Sched.List_sched.schedule_core
+
 let optimize ?(policy = Sched.Policy.smarq ~ar_count:64) ?(known_alias = []) sb
     =
   let fresh_id = ref (Ir.Superblock.max_instr_id sb + 1_000) in

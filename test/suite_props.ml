@@ -126,7 +126,7 @@ let prop_schedule_respects_hazards (seed, params) =
   let hazards = Sched.Hazards.build ~sb ~deps ~policy () in
   let fresh_id = ref 100_000 in
   let outcome =
-    Sched.List_sched.schedule ~sb ~deps ~policy ~issue_width:4 ~mem_ports:2
+    schedule ~sb ~deps ~policy ~issue_width:4 ~mem_ports:2
       ~latency:default_latency ~fresh_id ()
   in
   let pos = Hashtbl.create 64 in

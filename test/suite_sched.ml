@@ -12,7 +12,7 @@ let build ?(policy = Sched.Policy.smarq ~ar_count:64) body =
   let deps = Analysis.Depgraph.build ~body ~alias () in
   let fresh_id = ref (Ir.Superblock.max_instr_id sb + 100) in
   let outcome =
-    Sched.List_sched.schedule ~sb ~deps ~policy ~issue_width:4 ~mem_ports:2
+    schedule ~sb ~deps ~policy ~issue_width:4 ~mem_ports:2
       ~latency:default_latency ~fresh_id ()
   in
   (outcome, deps)
@@ -210,7 +210,7 @@ let test_side_exit_allows_dead_load_hoist () =
   let deps = Analysis.Depgraph.build ~body:sb.Ir.Superblock.body ~alias () in
   let fresh_id = ref 1000 in
   let outcome =
-    Sched.List_sched.schedule ~sb ~deps
+    schedule ~sb ~deps
       ~policy:(Sched.Policy.smarq ~ar_count:64)
       ~issue_width:4 ~mem_ports:2 ~latency:default_latency ~fresh_id ()
   in
@@ -233,7 +233,7 @@ let test_side_exit_blocks_live_def_hoist () =
   let deps = Analysis.Depgraph.build ~body:sb.Ir.Superblock.body ~alias () in
   let fresh_id = ref 1000 in
   let outcome =
-    Sched.List_sched.schedule ~sb ~deps
+    schedule ~sb ~deps
       ~policy:(Sched.Policy.smarq ~ar_count:64)
       ~issue_width:4 ~mem_ports:2 ~latency:default_latency ~fresh_id ()
   in
@@ -297,7 +297,7 @@ let test_overflow_raises () =
   let raised =
     try
       ignore
-        (Sched.List_sched.schedule ~sb ~deps
+        (schedule ~sb ~deps
            ~policy:(Sched.Policy.smarq ~ar_count:2)
            ~issue_width:4 ~mem_ports:2 ~latency:default_latency ~fresh_id ());
       false

@@ -1,9 +1,9 @@
 (* Differential tests for the O(n log n) translation pipeline: the
    swept dependence builder, the reduced hazard graph, and the heap
-   scheduler must be indistinguishable from the seed implementations —
-   identical edge lists for the depgraph, identical reachability for
-   hazards, and bit-identical schedules (hence guest state and cycle
-   counts) end to end. *)
+   scheduler must be indistinguishable from the seed implementations
+   kept in the [Oracle] library — identical edge lists for the
+   depgraph, identical reachability for hazards, and bit-identical
+   artifacts for every translation a driver run requests. *)
 
 open Helpers
 module I = Ir.Instr
@@ -54,7 +54,7 @@ let depgraphs_of (seed, params) =
   let const_facts = Analysis.Const_prop.analyze ~body in
   let alias = Analysis.May_alias.analyze ~known_alias ~const_facts ~body () in
   let fast = Analysis.Depgraph.build ~body ~alias () in
-  let slow = Analysis.Depgraph.build ~body ~alias ~reference:true () in
+  let slow = Oracle.Depgraph.build ~body ~alias () in
   (body, fast, slow)
 
 (* The swept builder must reproduce the pairwise builder's edge list
@@ -88,7 +88,7 @@ let hazards_of ~policy (seed, params) =
   let alias = Analysis.May_alias.analyze ~body () in
   let deps = Analysis.Depgraph.build ~body ~alias () in
   let fast = Sched.Hazards.build ~sb ~deps ~policy () in
-  let slow = Sched.Hazards.build ~sb ~deps ~policy ~reference:true () in
+  let slow = Oracle.Hazards.build ~sb ~deps ~policy () in
   (body, fast, slow)
 
 let closure h body =
@@ -156,35 +156,23 @@ let prop_dropped_normalized (seed, params) =
   sorted_nodup
   && List.sort_uniq compare Sched.Hazards.(slow.dropped) = d
 
-(* End to end through the full dynamic system: for every scheme, the
-   fast and reference pipelines must agree on the final guest state AND
-   on every deterministic statistic — total cycles above all. *)
 let prog_arb =
   QCheck.make
     ~print:(fun (seed, loops, iters) ->
       Printf.sprintf "seed=%d loops=%d iters=%d" seed loops iters)
     QCheck.Gen.(triple (int_bound 1_000_000) (int_range 1 3) (int_range 60 200))
 
-let strip_timing (st : Runtime.Stats.t) =
-  {
-    st with
-    Runtime.Stats.wall_seconds = 0.0;
-    translate = Sched.Profile.create ();
-  }
-
-let prop_pipelines_bit_identical (seed, loops, iters) =
-  let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
-  List.for_all
+(* Every scheme is captured twice: with the default unbounded cache,
+   and under LRU with a capacity small enough that the capture holds
+   eviction and oversize-rejection re-translations. *)
+let captures program =
+  List.concat_map
     (fun scheme ->
-      let run pipeline =
-        Smarq.run_program ~fuel:50_000_000 ~pipeline ~scheme program
-      in
-      let fast = run Sched.Pipeline.Fast
-      and slow = run Sched.Pipeline.Reference in
-      Vliw.Machine.equal_guest_state fast.Runtime.Driver.machine
-        slow.Runtime.Driver.machine
-      && strip_timing fast.Runtime.Driver.stats
-         = strip_timing slow.Runtime.Driver.stats)
+      List.map
+        (fun (tcache_policy, tcache_capacity) ->
+          Exec.Translate.capture_program ~fuel:50_000_000 ~tcache_policy
+            ?tcache_capacity ~scheme program)
+        [ (Tcache.Policy.Unbounded, None); (Tcache.Policy.Lru, Some 32) ])
     [
       Smarq.Scheme.Smarq 64;
       Smarq.Scheme.Smarq 16;
@@ -195,26 +183,30 @@ let prop_pipelines_bit_identical (seed, loops, iters) =
       Smarq.Scheme.None_static;
     ]
 
-(* Parallel replay: for every scheme, capturing the driver's optimize
-   requests and replaying them at -jt 1, 2 and 4 over the domain pool
-   must yield bit-identical artifacts in submission order, and the
-   merged profile must count the same regions and instructions.  (The
-   timer fields are wall measurements and legitimately differ run to
-   run; the integers and the artifacts may not.)  Each scheme is
-   captured twice: with the default unbounded cache, and under LRU with
-   a capacity small enough that the capture holds eviction and
-   oversize-rejection re-translations. *)
-let all_schemes =
-  [
-    Smarq.Scheme.Smarq 64;
-    Smarq.Scheme.Smarq 16;
-    Smarq.Scheme.Naive_order 64;
-    Smarq.Scheme.Alat;
-    Smarq.Scheme.Efficeon;
-    Smarq.Scheme.None_;
-    Smarq.Scheme.None_static;
-  ]
+(* End to end: every translation request a driver run issues, replayed
+   through the fast pipeline and through the oracle, must yield
+   bit-identical artifacts.  This is the whole-run differential check:
+   the driver reads only a translation's region and stats, so equal
+   artifacts for every request mean an oracle-driven run would issue
+   the same requests and reach the same guest state and statistics. *)
+let prop_pipelines_bit_identical (seed, loops, iters) =
+  let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
+  List.for_all
+    (fun (_, cfg, reqs) ->
+      let fast = Exec.Translate.replay ~jobs:1 ~config:cfg reqs in
+      let slow = Oracle.Translate.replay ~config:cfg reqs in
+      List.length fast.Exec.Translate.artifacts = List.length reqs
+      && List.length slow.Exec.Translate.artifacts = List.length reqs
+      && List.for_all2 Exec.Translate.equal_artifact
+           fast.Exec.Translate.artifacts slow.Exec.Translate.artifacts)
+    (captures program)
 
+(* Parallel replay: for every capture, replaying the driver's optimize
+   requests at -jt 1, 2 and 4 over the domain pool must yield
+   bit-identical artifacts in submission order, and the merged profile
+   must count the same regions and instructions.  (The timer fields are
+   wall measurements and legitimately differ run to run; the integers
+   and the artifacts may not.) *)
 let prop_parallel_replay_identical (seed, loops, iters) =
   let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
   let pool = Exec.Pool.create ~domains:4 () in
@@ -222,11 +214,7 @@ let prop_parallel_replay_identical (seed, loops, iters) =
     ~finally:(fun () -> Exec.Pool.shutdown pool)
     (fun () ->
       List.for_all
-        (fun (scheme, tcache_policy, tcache_capacity) ->
-          let _, cfg, reqs =
-            Exec.Translate.capture_program ~fuel:50_000_000 ~tcache_policy
-              ?tcache_capacity ~scheme program
-          in
+        (fun (_, cfg, reqs) ->
           let seq = Exec.Translate.replay ~jobs:1 ~config:cfg reqs in
           List.length seq.Exec.Translate.artifacts = List.length reqs
           && List.for_all
@@ -241,33 +229,7 @@ let prop_parallel_replay_identical (seed, loops, iters) =
                  && par.Exec.Translate.profile.Sched.Profile.instrs
                     = seq.Exec.Translate.profile.Sched.Profile.instrs)
                [ 1; 2; 4 ])
-        (List.concat_map
-           (fun scheme ->
-             [
-               (scheme, Tcache.Policy.Unbounded, None);
-               (scheme, Tcache.Policy.Lru, Some 32);
-             ])
-           all_schemes))
-
-(* The captured batch replayed under the reference pipeline must also
-   match a reference driver run's artifacts — capture is a faithful
-   record, not a fast-path-only trick. *)
-let prop_replay_matches_either_pipeline (seed, loops, iters) =
-  let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
-  let scheme = Smarq.Scheme.Smarq 64 in
-  let _, cfg, reqs =
-    Exec.Translate.capture_program ~fuel:50_000_000 ~scheme program
-  in
-  let fast =
-    Exec.Translate.replay ~jobs:1 ~pipeline:Sched.Pipeline.Fast ~config:cfg
-      reqs
-  in
-  let slow =
-    Exec.Translate.replay ~jobs:1 ~pipeline:Sched.Pipeline.Reference
-      ~config:cfg reqs
-  in
-  List.for_all2 Exec.Translate.equal_artifact fast.Exec.Translate.artifacts
-    slow.Exec.Translate.artifacts
+        (captures program))
 
 (* Deterministic spot check of the reduction itself: a WAW edge made
    redundant by a RAW/WAR path must be pruned yet stay enforced. *)
@@ -282,7 +244,7 @@ let test_reduction_prunes_redundant_waw () =
   let deps = Analysis.Depgraph.build ~body ~alias () in
   let policy = Sched.Policy.smarq ~ar_count:64 in
   let fast = Sched.Hazards.build ~sb ~deps ~policy () in
-  let slow = Sched.Hazards.build ~sb ~deps ~policy ~reference:true () in
+  let slow = Oracle.Hazards.build ~sb ~deps ~policy () in
   Alcotest.(check bool) "reference keeps the direct WAW" true
     (List.mem w1.I.id (Sched.Hazards.preds slow w2.I.id));
   Alcotest.(check bool) "fast prunes the redundant WAW" false
@@ -308,8 +270,6 @@ let suite =
         prop_pipelines_bit_identical;
       qcase ~count:5 "parallel replay bit-identical at -jt 1/2/4" prog_arb
         prop_parallel_replay_identical;
-      qcase ~count:5 "replay identical under both pipelines" prog_arb
-        prop_replay_matches_either_pipeline;
       case "transitive reduction prunes redundant WAW"
         test_reduction_prunes_redundant_waw;
     ] )
