@@ -92,7 +92,8 @@ let () =
     Printf.printf "r2 = 2000 (disjoint): committed in %d cycles\n"
       r.Vliw.Region_exec.cycles
   | Vliw.Region_exec.Alias_fault v ->
-    Format.printf "unexpected: %a@." Hw.Detector.pp_violation v);
+    Format.printf "unexpected: %a@." Hw.Detector.pp_violation v
+  | Vliw.Region_exec.Window_overflow msg -> Printf.printf "unexpected: %s\n" msg);
 
   (* case 2: the speculation is wrong -- r2 aliases the store at [r0] *)
   let r, machine = execute ~r2:1000 o.Opt.Optimizer.region in
@@ -120,7 +121,7 @@ let () =
     | Vliw.Region_exec.Committed _ ->
       Printf.printf "re-execution committed; f3 = %d (the freshly stored value)\n"
         (Vliw.Machine.get_reg machine (Ir.Reg.F 3))
-    | Vliw.Region_exec.Alias_fault _ ->
+    | Vliw.Region_exec.Alias_fault _ | Vliw.Region_exec.Window_overflow _ ->
       print_endline "unexpected second fault")
-  | Vliw.Region_exec.Committed _ ->
-    print_endline "unexpected commit despite the alias")
+  | Vliw.Region_exec.Committed _ | Vliw.Region_exec.Window_overflow _ ->
+    print_endline "unexpected outcome despite the alias")

@@ -88,9 +88,11 @@ let build_once (module Phases : PHASES) ~policy ~issue_width ~mem_ports
   in
   (outcome, elim, deps, cert)
 
+let work_units sb = 2 * Ir.Superblock.instr_count sb
+
 let optimize_with phases ~policy ~issue_width ~mem_ports ~latency ~fresh_id
     ?(known_alias = []) ?profile ?arena sb =
-  let work_units = 2 * Ir.Superblock.instr_count sb in
+  let work_units = work_units sb in
   let finish ~fell_back ~policy_used
       ( (outcome : Sched.List_sched.outcome),
         (elim : Elim.result),

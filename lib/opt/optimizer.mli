@@ -102,6 +102,10 @@ end
 
 module Make (Phases : PHASES) : S
 
+val work_units : Ir.Superblock.t -> int
+(** The [work_units] of any translation of this superblock: it depends
+    on the superblock alone, not on policy or known pairs. *)
+
 include S
 (** Over {!Analysis.Depgraph.build}, {!Sched.Hazards.build} and
     {!Sched.List_sched.schedule_core}. *)

@@ -58,6 +58,10 @@ type cache_entry = {
   mutable tr : translation;
       (* replaced on re-optimization, dropped with the entry on
          eviction *)
+  mutable size : int;  (* scheduled instructions of [tr] *)
+  mutable pure : bool;
+      (* the build of [tr] consumed no fresh instruction ids, so
+         repeating its request would rebuild [tr] exactly *)
   mutable known_alias : (int * int) list;
       (* newest-first, the order handed to the optimizer *)
   known_alias_set : (int * int, unit) Hashtbl.t;
@@ -205,42 +209,41 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
     stats.Stats.degraded_regions <- stats.Stats.degraded_regions + 1;
     Tcache.Store.invalidate cache label
   in
-  (* Translation validation: returns [true] when the artifact may be
-     installed.  In [Sample] mode a deterministic counter picks every
-     [sample_stride]-th candidate; [All] verifies each one. *)
+  (* Whether the next install is due for translation validation.
+     Called once per install, built or reused, so in [Sample] mode the
+     deterministic counter picks every [sample_stride]-th one; [All]
+     validates each. *)
   let verify_counter = ref 0 in
-  let verify_artifact o =
-    let sampled =
-      match verify with
-      | Check.Verifier.Off -> false
-      | Check.Verifier.All -> true
-      | Check.Verifier.Sample ->
-        let n = !verify_counter in
-        incr verify_counter;
-        n mod sample_stride = 0
-    in
-    if not sampled then true
-    else begin
-      stats.Stats.verified_regions <- stats.Stats.verified_regions + 1;
-      match
-        Check.Verifier.verify ~issue_width:config.Vliw.Config.issue_width
-          ~mem_ports:config.Vliw.Config.mem_ports ~latency o
-      with
-      | Check.Verifier.Pass -> true
-      | Check.Verifier.Reject vs ->
-        Stats.note_reject stats
-          (List.map
-             (fun (v : Check.Verifier.violation) ->
-               Check.Verifier.rule_name v.Check.Verifier.rule)
-             vs);
-        false
-    end
+  let due_for_verification () =
+    match verify with
+    | Check.Verifier.Off -> false
+    | Check.Verifier.All -> true
+    | Check.Verifier.Sample ->
+      let n = !verify_counter in
+      incr verify_counter;
+      n mod sample_stride = 0
   in
-  (* A translation is installed only if it passes validation and the
-     region executor accepts it; a rejection degrades its label. *)
-  let installable o =
+  let verify_artifact o =
+    stats.Stats.verified_regions <- stats.Stats.verified_regions + 1;
+    match
+      Check.Verifier.verify ~issue_width:config.Vliw.Config.issue_width
+        ~mem_ports:config.Vliw.Config.mem_ports ~latency o
+    with
+    | Check.Verifier.Pass -> true
+    | Check.Verifier.Reject vs ->
+      Stats.note_reject stats
+        (List.map
+           (fun (v : Check.Verifier.violation) ->
+             Check.Verifier.rule_name v.Check.Verifier.rule)
+           vs);
+      false
+  in
+  (* A translation is installed only if it passes validation (when
+     [due]) and the region executor accepts it; a rejection degrades its
+     label. *)
+  let installable ~due o =
     let region = o.Opt.Optimizer.region in
-    if not (verify_artifact o) then None
+    if due && not (verify_artifact o) then None
     else
       match Vliw.Region_exec.predecode ~config region with
       | Error _ -> None
@@ -267,27 +270,34 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
   (* one arena per run: depgraph/hazard scratch grows to the largest
      region and is reused by every translation after it *)
   let arena = Analysis.Arena.create () in
-  (* every optimize call goes through here so [capture] sees the exact
-     inputs (including the id counter) of each translation the run
-     performed — the capture-and-replay contract of Exec.Translate *)
-  let optimize_with ~policy ~known_alias sb =
-    (match capture with
+  (* [capture] sees the exact inputs (including the id counter) of
+     every translation request the run serves, built or reused — the
+     capture-and-replay contract of Exec.Translate.  [known_alias] is
+     forced only when someone captures. *)
+  let record ~policy ~known_alias sb =
+    match capture with
     | Some record ->
       record
         {
           Opt.Optimizer.sb;
           policy;
-          known_alias;
+          known_alias = known_alias ();
           fresh_base = !fresh_id;
         }
-    | None -> ());
-    Opt.Optimizer.optimize ~policy
-      ~issue_width:config.Vliw.Config.issue_width
-      ~mem_ports:config.Vliw.Config.mem_ports ~latency ~fresh_id ~known_alias
-      ~profile:translate_profile ~arena sb
+    | None -> ()
   in
-  let optimize_superblock ~known_alias sb =
-    optimize_with ~policy ~known_alias sb
+  (* every optimize call goes through here; also returns whether the
+     build consumed no fresh ids *)
+  let optimize_with ~policy ~known_alias sb =
+    record ~policy ~known_alias:(fun () -> known_alias) sb;
+    let base = !fresh_id in
+    let o =
+      Opt.Optimizer.optimize ~policy
+        ~issue_width:config.Vliw.Config.issue_width
+        ~mem_ports:config.Vliw.Config.mem_ports ~latency ~fresh_id ~known_alias
+        ~profile:translate_profile ~arena sb
+    in
+    (o, !fresh_id = base)
   in
   let build_region label =
     let sb =
@@ -306,7 +316,7 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
           ~default:sb
       else sb
     in
-    let o = optimize_superblock ~known_alias:[] sb in
+    let o, pure = optimize_with ~policy ~known_alias:[] sb in
     let ws = Sched.Working_set.measure ~sb ~outcome:{
         Sched.List_sched.region = o.Opt.Optimizer.region;
         alloc_result = o.Opt.Optimizer.alloc_result;
@@ -317,12 +327,14 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
     in
     Stats.note_region_built stats o ~ws;
     charge_optimize o.Opt.Optimizer.stats.Opt.Optimizer.work_units;
-    match installable o with
+    match installable ~due:(due_for_verification ()) o with
     | Some tr ->
-      Tcache.Store.insert cache label
-        ~size:(Ir.Region.instr_count o.Opt.Optimizer.region)
+      let size = Ir.Region.instr_count o.Opt.Optimizer.region in
+      Tcache.Store.insert cache label ~size
         {
           tr;
+          size;
+          pure;
           known_alias = [];
           known_alias_set = Hashtbl.create 8;
           pinned = [];
@@ -337,48 +349,74 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
          label falls back to the interpreter, like a watchdog kill *)
       degrade label
   in
+  (* [true] iff [id] was not pinned yet *)
   let pin entry id =
-    if not (Hashtbl.mem entry.pinned_set id) then begin
+    let fresh = not (Hashtbl.mem entry.pinned_set id) in
+    if fresh then begin
       entry.pinned <- id :: entry.pinned;
       Hashtbl.replace entry.pinned_set id ();
       stats.Stats.pinned_ops <- stats.Stats.pinned_ops + 1
-    end
+    end;
+    fresh
   in
   let reoptimize entry (v : Hw.Detector.violation) =
     stats.Stats.reoptimizations <- stats.Stats.reoptimizations + 1;
     entry.reopts <- entry.reopts + 1;
     let pair = (v.Hw.Detector.setter, v.Hw.Detector.checker) in
-    if entry.reopts > max_reopts then begin
-      (* a gave-up region can still fault (injected or false-positive
-         violations survive the unspeculated rebuild); count it once *)
-      if not entry.gave_up then begin
-        entry.gave_up <- true;
-        stats.Stats.gave_up_regions <- stats.Stats.gave_up_regions + 1
+    (* whether this fault changed the region's translation inputs *)
+    let changed =
+      if entry.reopts > max_reopts then begin
+        (* a gave-up region can still fault (injected or false-positive
+           violations survive the unspeculated rebuild); count it once *)
+        let first = not entry.gave_up in
+        if first then begin
+          entry.gave_up <- true;
+          stats.Stats.gave_up_regions <- stats.Stats.gave_up_regions + 1
+        end;
+        first
       end
-    end
-    else if known_mem entry pair then begin
-      (* the same pair violated twice: pin both ops out of speculation *)
-      pin entry v.Hw.Detector.setter;
-      pin entry v.Hw.Detector.checker
-    end
-    else add_known entry pair;
-    let o =
-      if entry.gave_up then
-        optimize_with ~policy:(Sched.Policy.none ()) ~known_alias:[] entry.sb
-      else optimize_superblock ~known_alias:(known_with_pins entry) entry.sb
+      else if known_mem entry pair then begin
+        (* the same pair violated twice: pin both ops out of speculation *)
+        let setter = pin entry v.Hw.Detector.setter in
+        let checker = pin entry v.Hw.Detector.checker in
+        setter || checker
+      end
+      else begin
+        add_known entry pair;
+        true
+      end
     in
-    charge_optimize o.Opt.Optimizer.stats.Opt.Optimizer.work_units;
-    match installable o with
-    | Some tr ->
-      entry.tr <- tr;
-      (* the translation changed in place: chains into it stay valid,
-         chains out of it are rebuilt against the new schedule *)
-      Tcache.Store.replace cache entry.sb.Ir.Superblock.entry
-        ~size:(Ir.Region.instr_count o.Opt.Optimizer.region)
-    | None ->
-      (* the rebuilt translation failed validation: drop the stale
-         entry and blacklist the label to interpreter-only execution *)
-      degrade entry.sb.Ir.Superblock.entry
+    let policy, known_alias =
+      if entry.gave_up then (Sched.Policy.none (), fun () -> [])
+      else (policy, fun () -> known_with_pins entry)
+    in
+    let label = entry.sb.Ir.Superblock.entry in
+    let due = due_for_verification () in
+    if (not changed) && entry.pure && not due then begin
+      (* The request repeats the one that built [entry.tr], and that
+         build consumed no fresh ids: rebuilding would return the same
+         translation and leave the id counter where it is.  Keep every
+         other effect of a rebuild. *)
+      record ~policy ~known_alias entry.sb;
+      stats.Stats.reused_translations <- stats.Stats.reused_translations + 1;
+      charge_optimize (Opt.Optimizer.work_units entry.sb);
+      Tcache.Store.replace cache label ~size:entry.size
+    end
+    else
+      let o, pure = optimize_with ~policy ~known_alias:(known_alias ()) entry.sb in
+      charge_optimize o.Opt.Optimizer.stats.Opt.Optimizer.work_units;
+      match installable ~due o with
+      | Some tr ->
+        entry.tr <- tr;
+        entry.pure <- pure;
+        entry.size <- Ir.Region.instr_count o.Opt.Optimizer.region;
+        (* the translation changed in place: chains into it stay valid,
+           chains out of it are rebuilt against the new schedule *)
+        Tcache.Store.replace cache label ~size:entry.size
+      | None ->
+        (* the rebuilt translation failed validation: drop the stale
+           entry and blacklist the label to interpreter-only execution *)
+        degrade label
   in
   let blocks_left = ref fuel in
   let exception Fuel_done in
@@ -456,6 +494,13 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
              interpreter, which cannot alias-fault *)
           degrade label
         else reoptimize entry v;
+        step ~chain_from:None label
+      | Vliw.Region_exec.Window_overflow _ ->
+        (* the detector cannot hold this region's alias register
+           window: fall back to the interpreter as after a watchdog
+           kill instead of re-optimizing around the hardware model *)
+        stats.Stats.rollbacks <- stats.Stats.rollbacks + 1;
+        degrade label;
         step ~chain_from:None label)
     | None ->
       let b = Ir.Program.block program label in

@@ -164,11 +164,26 @@ val run :
     entry.  A region the executor rejects as malformed (for example
     one needing more alias registers than [config] provides) is never
     installed either: its label is degraded the same way, counted in
-    [Stats.degraded_regions].
+    [Stats.degraded_regions].  So is a region whose detector raises on
+    an alias register offset past its queue
+    ({!Vliw.Region_exec.Window_overflow}): the execution is rolled back
+    and counted in [Stats.rollbacks].
 
-    [capture], when given, is called once per translation the run
-    performs (initial builds, re-optimizations, gave-up rebuilds alike),
-    in execution order, with the exact {!Opt.Optimizer.request} the
-    optimizer received — including the id counter at that moment, so
-    each request replays bit-identically in isolation.  This is the
+    A re-optimization whose fault left the region's translation inputs
+    unchanged (the region had already given up speculation, or a
+    repeated pair was already pinned) reuses the installed
+    translation instead of rebuilding it, provided that translation's
+    build consumed no fresh instruction ids and the install is not due
+    for validation ([verify = All] therefore never reuses).  The
+    rebuild would have produced the same translation and left the id
+    counter unchanged, so stats and simulated cycles are those of the
+    rebuild; only [Stats.reused_translations] and the
+    [Stats.translate] profile, which counts translations performed,
+    tell the two apart.
+
+    [capture], when given, is called once per translation request the
+    run serves (initial builds, re-optimizations, gave-up rebuilds and
+    reuses alike), in execution order, with the exact
+    {!Opt.Optimizer.request} — including the id counter at that moment,
+    so each request replays bit-identically in isolation.  This is the
     feed for {!Exec.Translate}'s parallel replay. *)

@@ -13,6 +13,7 @@ type t = {
   mutable rollbacks_not_assumed : int;
   mutable reoptimizations : int;
   mutable pinned_ops : int;
+  mutable reused_translations : int;
   mutable gave_up_regions : int;
   mutable alias_checks : int;
   (* fault injection and graceful degradation *)
@@ -70,6 +71,7 @@ let create () =
     rollbacks_not_assumed = 0;
     reoptimizations = 0;
     pinned_ops = 0;
+    reused_translations = 0;
     gave_up_regions = 0;
     alias_checks = 0;
     injected_faults = 0;
@@ -215,6 +217,7 @@ let pp ppf t =
   f "  not assumed (FP)" t.rollbacks_not_assumed;
   f "reoptimizations" t.reoptimizations;
   f "  ops pinned" t.pinned_ops;
+  f "  reused translations" t.reused_translations;
   if t.injected_faults > 0 || t.spurious_rollbacks > 0
      || t.degraded_regions > 0 then begin
     f "injected faults" t.injected_faults;

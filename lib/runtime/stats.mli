@@ -21,6 +21,11 @@ type t = {
   mutable reoptimizations : int;
   mutable pinned_ops : int;
       (** operations pinned out of speculation after repeat violations *)
+  mutable reused_translations : int;
+      (** re-optimizations served from the installed translation
+          because the fault left the region's translation inputs
+          unchanged (see {!Runtime.Driver.run}); counted in
+          [reoptimizations] too *)
   mutable gave_up_regions : int;
   mutable alias_checks : int;
   (* fault injection and graceful degradation *)
@@ -31,8 +36,11 @@ type t = {
       (** rollbacks whose violation the harness marked as injected —
           recovery work caused by the campaign, not the workload *)
   mutable degraded_regions : int;
-      (** regions the livelock watchdog blacklisted to interpreter-only
-          execution after faulting repeatedly without a commit *)
+      (** regions blacklisted to interpreter-only execution: by the
+          livelock watchdog after faulting repeatedly without a commit,
+          or because the translation failed validation or the region
+          executor could not run it (malformed, or a detector window
+          overflow) *)
   (* translation validation *)
   mutable verified_regions : int;
       (** regions the static verifier examined (0 with verification off) *)
@@ -88,7 +96,8 @@ type t = {
           comparisons, together with [translate]) *)
   mutable translate : Sched.Profile.t;
       (** per-phase translation timers and per-region instruction
-          counts, accumulated across every optimize call of the run *)
+          counts, accumulated across every optimize call of the run
+          (a reused translation makes none) *)
 }
 
 val create : unit -> t

@@ -13,9 +13,13 @@
     The driver owns one collector per run, threads it through every
     {!Opt.Optimizer.optimize} call (initial builds and
     re-optimizations alike), and surfaces it as [Runtime.Stats.translate].
-    All timers are host wall-clock seconds — non-deterministic, so
-    run-equality comparisons must zero them out, like
-    [Runtime.Stats.wall_seconds]. *)
+    It counts translations performed, not requests: a re-optimization
+    the driver serves from the installed translation
+    ([Runtime.Stats.reused_translations]) adds nothing here, so
+    [regions] can be below the number of captured requests.  Replaying
+    a capture translates every request.  All timers are host wall-clock
+    seconds — non-deterministic, so run-equality comparisons must zero
+    them out, like [Runtime.Stats.wall_seconds]. *)
 
 type t = {
   mutable alias_s : float;

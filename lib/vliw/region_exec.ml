@@ -3,6 +3,7 @@ module I = Ir.Instr
 type outcome =
   | Committed of Ir.Instr.label option
   | Alias_fault of Hw.Detector.violation
+  | Window_overflow of string
 
 type result = {
   outcome : outcome;
@@ -83,31 +84,34 @@ let exec ~config ~detector ~machine ?cache d =
   let checks_before = detector.Hw.Detector.checks_performed () in
   detector.Hw.Detector.reset ();
   Machine.checkpoint machine;
-  let run =
+  let outcome, cycles =
     (* a detector that raises (a hardware model smaller than the
        machine's window) must not leave the region open *)
-    try Machine.execute machine d.code ~detector ~cache
-    with e ->
+    match Machine.execute machine d.code ~detector ~cache with
+    | exception Invalid_argument msg ->
+      Machine.rollback machine;
+      (Window_overflow msg, config.Config.rollback_cycles)
+    | exception e ->
       Machine.rollback machine;
       raise e
-  in
-  let outcome, extra =
-    match run.Machine.stop with
-    | Machine.Fault v ->
-      Machine.rollback machine;
-      (Alias_fault v, config.Config.rollback_cycles)
-    | Machine.Side_exit l ->
-      Machine.commit machine;
-      (Committed (Some l), 0)
-    | Machine.Fell_through ->
-      Machine.commit machine;
-      (Committed d.final_exit, 0)
+    | run ->
+      let outcome, extra =
+        match run.Machine.stop with
+        | Machine.Fault v ->
+          Machine.rollback machine;
+          (Alias_fault v, config.Config.rollback_cycles)
+        | Machine.Side_exit l ->
+          Machine.commit machine;
+          (Committed (Some l), 0)
+        | Machine.Fell_through ->
+          Machine.commit machine;
+          (Committed d.final_exit, 0)
+      in
+      (outcome, run.Machine.issued + run.Machine.stalls + extra)
   in
   {
     outcome;
-    cycles =
-      config.Config.checkpoint_cycles + run.Machine.issued + run.Machine.stalls
-      + extra;
+    cycles = config.Config.checkpoint_cycles + cycles;
     alias_checks = detector.Hw.Detector.checks_performed () - checks_before;
   }
 

@@ -21,6 +21,10 @@ type outcome =
   | Committed of Ir.Instr.label option
       (** ran to a (side or final) exit; [None] means program end *)
   | Alias_fault of Hw.Detector.violation  (** rolled back *)
+  | Window_overflow of string
+      (** rolled back: the detector rejected an alias register offset
+          outside its own queue (a hardware model with fewer registers
+          than the machine's window); carries the detector's message *)
 
 type result = {
   outcome : outcome;
@@ -66,7 +70,10 @@ val exec :
   result
 (** Run a predecoded region atomically.  Reads the detector's
     [checks_performed] before its [reset] and once more after the
-    region commits or rolls back. *)
+    region commits or rolls back.  A detector that raises
+    [Invalid_argument] yields [Window_overflow], charged the checkpoint
+    and rollback penalties; any other exception is re-raised after the
+    rollback, so no region is ever left open. *)
 
 val run :
   config:Config.t ->

@@ -93,6 +93,7 @@ let run_to_commit ?(policy = Sched.Policy.smarq ~ar_count:64)
           (v.Hw.Detector.setter :: v.Hw.Detector.checker :: pinned)
           (faults + 1)
       else go (pair :: known) pinned (faults + 1)
+    | Vliw.Region_exec.Window_overflow msg -> Alcotest.fail msg
     | Vliw.Region_exec.Committed exit_label ->
       let expected_exit =
         match trace.Frontend.Interp.taken_exit with

@@ -61,7 +61,7 @@ let test_fault_rolls_everything_back () =
   | RE.Alias_fault v ->
     Alcotest.(check int) "setter is the load" l1.I.id v.Hw.Detector.setter;
     Alcotest.(check int) "checker is the store" s1.I.id v.Hw.Detector.checker
-  | RE.Committed _ -> Alcotest.fail "expected a fault");
+  | RE.Committed _ | RE.Window_overflow _ -> Alcotest.fail "expected a fault");
   Alcotest.(check int) "memory rolled back" 0
     (Vliw.Machine.load machine ~addr:300 ~width:4);
   Alcotest.(check int) "register rolled back" 0
@@ -269,8 +269,13 @@ let test_raising_detector_closes_region () =
   (match
      RE.run ~config:Vliw.Config.default ~detector:small ~machine region
    with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "an offset beyond the detector's queue must raise");
+  | Ok { RE.outcome = RE.Window_overflow _; cycles; _ } ->
+    Alcotest.(check int) "checkpoint and rollback are charged"
+      (Vliw.Config.default.Vliw.Config.checkpoint_cycles
+      + Vliw.Config.default.Vliw.Config.rollback_cycles)
+      cycles
+  | _ ->
+    Alcotest.fail "an offset beyond the detector's queue must overflow");
   Alcotest.(check bool) "no region left open" false
     (Vliw.Machine.in_region machine);
   Alcotest.(check int) "the store before it rolled back" 0
@@ -500,7 +505,7 @@ let prop_predecoded_matches_eval c =
       let want = reference_exec ~detector:d_ref ~machine:m_ref ?cache:c_ref region in
       let rolled_back =
         match got.RE.outcome with
-        | RE.Alias_fault _ -> same_state m_new before
+        | RE.Alias_fault _ | RE.Window_overflow _ -> same_state m_new before
         | RE.Committed _ -> true
       in
       got = want && same_state m_new m_ref && rolled_back

@@ -261,6 +261,125 @@ let test_campaign_runner () =
         && line.[String.length line - 1] = '}'))
     runs
 
+(* ---- re-optimization reuse: recovery counters are pinned ---- *)
+
+(* One Specfp program at scale 1 under its own seeded fault plan at
+   rate 0.05, as the benchmark's fault-recovery workload runs it. *)
+let run_planned ?(verify = Check.Verifier.Off) ~seed name scheme =
+  let program = Workload.Specfp.program ~scale:1 (Workload.Specfp.find name) in
+  let plan = Verify.Fault.plan ~seed ~rate:0.05 () in
+  let base = Smarq.Scheme.to_driver scheme in
+  let scheme' =
+    {
+      base with
+      Runtime.Driver.detector =
+        Verify.Fault.wrap plan base.Runtime.Driver.detector;
+    }
+  in
+  let r =
+    Runtime.Driver.run ~config:(Smarq.config_for scheme) ~verify
+      ~hooks:(Verify.Fault.hooks plan) ~scheme:scheme' program
+  in
+  Alcotest.(check bool) (name ^ " completed") true
+    (r.Runtime.Driver.outcome = Runtime.Driver.Completed);
+  r
+
+(* total cycles, region entries, rollbacks, reoptimizations, alias
+   checks, regions built, pinned ops, gave-up, degraded, injected *)
+let recovery_counters (s : Runtime.Stats.t) =
+  Runtime.Stats.
+    [
+      s.total_cycles;
+      s.region_entries;
+      s.rollbacks;
+      s.reoptimizations;
+      s.alias_checks;
+      s.regions_built;
+      s.pinned_ops;
+      s.gave_up_regions;
+      s.degraded_regions;
+      s.injected_faults;
+    ]
+
+let recovery_schemes = [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Alat ]
+
+(* Recorded before re-optimizations could reuse the installed
+   translation (plan seed 777); a reuse that is not bit-identical to the
+   rebuild it replaces moves these. *)
+let golden_recovery =
+  [
+    ("wupwise", "smarq64", [ 8373889; 716; 66; 66; 15392; 7; 7; 2; 0; 70 ]);
+    ("wupwise", "alat", [ 9283919; 724; 74; 74; 31422; 7; 13; 2; 0; 70 ]);
+    ("applu", "smarq64", [ 14014154; 717; 68; 68; 43960; 15; 7; 2; 0; 73 ]);
+    ("applu", "alat", [ 15856269; 728; 79; 79; 75808; 15; 15; 2; 0; 74 ]);
+    ("ammp", "smarq64", [ 11725012; 719; 70; 70; 73671; 19; 7; 2; 0; 73 ]);
+    ("ammp", "alat", [ 11341106; 716; 67; 67; 180291; 19; 7; 2; 0; 72 ]);
+  ]
+
+let test_recovery_golden () =
+  List.iter
+    (fun (name, scheme_name, want) ->
+      let scheme =
+        List.find (fun s -> Smarq.Scheme.name s = scheme_name) recovery_schemes
+      in
+      let r = run_planned ~seed:777 name scheme in
+      Alcotest.(check (list int))
+        (name ^ "/" ^ scheme_name)
+        want
+        (recovery_counters r.Runtime.Driver.stats))
+    golden_recovery
+
+(* [All] validates every install and so never reuses; [Off] reuses
+   every unchanged zero-id repeat.  Both must tell the same story. *)
+let test_reuse_matches_rebuild () =
+  let reused = ref 0 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun scheme ->
+          let all = run_planned ~verify:Check.Verifier.All ~seed:777 name scheme in
+          let off = run_planned ~seed:777 name scheme in
+          let cell = name ^ "/" ^ Smarq.Scheme.name scheme in
+          let st_all = all.Runtime.Driver.stats in
+          let st_off = off.Runtime.Driver.stats in
+          Alcotest.(check int) (cell ^ ": All never reuses") 0
+            st_all.Runtime.Stats.reused_translations;
+          Alcotest.(check (list int)) cell
+            (recovery_counters st_all) (recovery_counters st_off);
+          Alcotest.(check bool) (cell ^ ": same guest state") true
+            (Vliw.Machine.equal_guest_state all.Runtime.Driver.machine
+               off.Runtime.Driver.machine);
+          reused := !reused + st_off.Runtime.Stats.reused_translations)
+        recovery_schemes)
+    Workload.Specfp.names;
+  Alcotest.(check bool) "Off runs reused installed translations" true
+    (!reused > 0)
+
+(* A detector queue smaller than the configured window raises on the
+   first offset past its end; the driver must degrade that region
+   instead of letting the exception escape the run. *)
+let test_small_queue_degrades () =
+  let program = Workload.Specfp.program ~scale:1 (Workload.Specfp.find "ammp") in
+  let scheme =
+    {
+      Runtime.Driver.policy = Sched.Policy.smarq ~ar_count:64;
+      detector = Hw.Queue.detector (Hw.Queue.create ~size:4);
+    }
+  in
+  let r =
+    Runtime.Driver.run
+      ~config:(Vliw.Config.with_alias_registers Vliw.Config.default 64)
+      ~scheme program
+  in
+  Alcotest.(check bool) "completed" true
+    (r.Runtime.Driver.outcome = Runtime.Driver.Completed);
+  Alcotest.(check bool) "overflowing regions degraded" true
+    (r.Runtime.Driver.stats.Runtime.Stats.degraded_regions > 0);
+  Alcotest.(check bool) "state equals oracle" true
+    (Vliw.Machine.equal_guest_state
+       (Verify.Oracle.reference program)
+       r.Runtime.Driver.machine)
+
 let suite =
   ( "verify",
     [
@@ -279,4 +398,9 @@ let suite =
         test_fuel_exhaustion_structured;
       case "campaign runner emits one ok JSON line per cell"
         test_campaign_runner;
+      case "recovery counters match the golden pins" test_recovery_golden;
+      case "reused re-optimizations match rebuilt ones"
+        test_reuse_matches_rebuild;
+      case "a queue smaller than the window degrades, never raises"
+        test_small_queue_degrades;
     ] )
