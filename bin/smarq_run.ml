@@ -34,16 +34,13 @@ let bench_arg =
 
 let scheme_arg =
   let doc =
-    "Alias-detection scheme: smarq64, smarq16, smarqN, alat, efficeon, none."
+    "Alias-detection scheme: smarqN, smarqN-nosr, naiveN (1 <= N <= \
+     1024), alat, efficeon, none, none+static."
   in
   Arg.(
     value
     & opt scheme_conv (Smarq.Scheme.Smarq 64)
     & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
-
-let scale_arg =
-  let doc = "Multiply the benchmark's iteration count." in
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc)
 
 let tcache_policy_conv =
   let parse s =
@@ -71,6 +68,10 @@ let int_conv_at_least lo ~what =
 
 let positive_int_conv = int_conv_at_least 1 ~what:"positive"
 let non_negative_int_conv = int_conv_at_least 0 ~what:"non-negative"
+
+let scale_arg =
+  let doc = "Multiply the benchmark's iteration count." in
+  Arg.(value & opt positive_int_conv 1 & info [ "scale" ] ~docv:"N" ~doc)
 
 let tcache_capacity_arg =
   let doc =

@@ -1,8 +1,8 @@
 (** SMARQ — the public facade.
 
     Re-exports the subsystem libraries under one roof and provides the
-    high-level entry points most users want: run a benchmark under an
-    alias-detection scheme, compare schemes, and compute speedups. *)
+    high-level entry points most users want: run a program or a
+    benchmark under a named alias-detection scheme. *)
 
 module Ir = Ir
 module Hw = Hw
@@ -47,23 +47,61 @@ module Scheme = struct
     | None_ -> "none"
     | None_static -> "none+static"
 
+  (** Largest alias-register count a scheme name may ask for. *)
+  let max_alias_registers = 1024
+
+  (** [of_string s] parses a scheme name, ignoring case: [alat]
+      ([itanium]), [efficeon], [none] ([baseline]), [none+static]
+      ([static]), and [smarqN], [smarqN-nosr], [naiveN] for a decimal
+      register count 1 <= N <= 1024 ([max_alias_registers]); a bare
+      [smarq] or [naive] means N = 64.  [of_string (name t) = t] for
+      every [t] in range.  Raises [Invalid_argument] on any other
+      name. *)
   let of_string s =
-    match String.lowercase_ascii s with
+    let s = String.lowercase_ascii s in
+    (* [Some n] when [s] is [prefix ^ n ^ suffix] with [n] decimal
+       digits; a count out of range is an error, not a miss *)
+    let count ~prefix ~suffix =
+      let lp = String.length prefix in
+      let len = String.length s - lp - String.length suffix in
+      if
+        len <= 0
+        || (not (String.starts_with ~prefix s))
+        || not (String.ends_with ~suffix s)
+      then None
+      else
+        let digits = String.sub s lp len in
+        if not (String.for_all (fun c -> c >= '0' && c <= '9') digits) then
+          None
+        else
+          match int_of_string_opt digits with
+          | Some n when n >= 1 && n <= max_alias_registers -> Some n
+          | _ ->
+            invalid_arg
+              (Printf.sprintf
+                 "scheme %S: alias register count must be 1..%d" s
+                 max_alias_registers)
+    in
+    match s with
     | "alat" | "itanium" -> Alat
     | "efficeon" -> Efficeon
     | "none" | "baseline" -> None_
     | "none+static" | "static" -> None_static
-    | s when String.length s > 5 && String.sub s 0 5 = "smarq" ->
-      (match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-      | Some n -> Smarq n
-      | None -> invalid_arg (Printf.sprintf "unknown scheme %S" s))
     | "smarq" -> Smarq 64
-    | s when String.length s > 5 && String.sub s 0 5 = "naive" ->
-      (match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-      | Some n -> Naive_order n
-      | None -> invalid_arg (Printf.sprintf "unknown scheme %S" s))
     | "naive" -> Naive_order 64
-    | _ -> invalid_arg (Printf.sprintf "unknown scheme %S" s)
+    | _ -> (
+      match
+        List.find_map
+          (fun (prefix, suffix, make) ->
+            Option.map make (count ~prefix ~suffix))
+          [
+            ("smarq", "-nosr", fun n -> Smarq_no_store_reorder n);
+            ("smarq", "", fun n -> Smarq n);
+            ("naive", "", fun n -> Naive_order n);
+          ]
+      with
+      | Some t -> t
+      | None -> invalid_arg (Printf.sprintf "unknown scheme %S" s))
 
   let all = [ Smarq 64; Smarq 16; Alat; Efficeon; None_ ]
 end
@@ -90,20 +128,3 @@ let run_benchmark ?config ?fuel ?scale ?tcache_policy ?tcache_capacity
   run_program ?config ?fuel ?tcache_policy ?tcache_capacity ?verify
     ?certify ~scheme
     (Workload.Specfp.program ?scale bench)
-
-(** [speedup ~baseline ~improved] is baseline-cycles / improved-cycles
-    (> 1 means [improved] is faster). *)
-let speedup ~(baseline : Runtime.Stats.t) ~(improved : Runtime.Stats.t) =
-  if improved.Runtime.Stats.total_cycles = 0 then 0.0
-  else
-    float_of_int baseline.Runtime.Stats.total_cycles
-    /. float_of_int improved.Runtime.Stats.total_cycles
-
-(** Run one benchmark under several schemes and return
-    (scheme name, stats) in order. *)
-let compare_schemes ?config ?fuel ?scale ~schemes name =
-  List.map
-    (fun s ->
-      let r = run_benchmark ?config ?fuel ?scale ~scheme:s name in
-      (Scheme.name s, r.Runtime.Driver.stats))
-    schemes

@@ -2,18 +2,17 @@ type t = {
   counts : (Ir.Instr.label, int) Hashtbl.t;
   edges : (Ir.Instr.label * Ir.Instr.label, int) Hashtbl.t;
   hot : int;
-  cold_fraction : float;
 }
 
 let min_edge_samples = 16
+let cold_fraction = 0.25
 
-let create ?(hot_threshold = 50) ?(cold_fraction = 0.25) () =
+let create ?(hot_threshold = 50) () =
   if hot_threshold <= 0 then invalid_arg "Profiler.create: hot_threshold";
   {
     counts = Hashtbl.create 64;
     edges = Hashtbl.create 64;
     hot = hot_threshold;
-    cold_fraction;
   }
 
 let note_execution t l =
@@ -36,6 +35,6 @@ let count t l = Option.value (Hashtbl.find_opt t.counts l) ~default:0
 let is_hot t l = count t l >= t.hot
 
 let is_cold_relative t ~seed_count l =
-  float_of_int (count t l) < (t.cold_fraction *. float_of_int seed_count)
+  float_of_int (count t l) < (cold_fraction *. float_of_int seed_count)
 
 let hot_threshold t = t.hot

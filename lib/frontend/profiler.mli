@@ -8,17 +8,17 @@
 
 type t
 
-val create : ?hot_threshold:int -> ?cold_fraction:float -> unit -> t
+val create : ?hot_threshold:int -> unit -> t
 (** [hot_threshold] defaults to 50 executions; a block is {e cold}
-    relative to a seed when its count is below [cold_fraction] (default
-    0.25) of the seed's count. *)
+    relative to a seed when its count is below a quarter of the seed's
+    count. *)
 
 val note_execution : t -> Ir.Instr.label -> unit
 
 val note_edge : t -> Ir.Instr.label -> Ir.Instr.label -> unit
-(** Record one traversal of the control edge [from -> to].  Binary
-    images carry no branch-probability hints, so edge counts are the
-    only source of bias for region formation on disassembled code. *)
+(** Record one traversal of the control edge [from -> to].  Region
+    formation prefers these measured counts to a conditional's static
+    [taken_probability] hint. *)
 
 val edge_bias :
   t -> from_:Ir.Instr.label -> taken:Ir.Instr.label ->

@@ -59,8 +59,8 @@ let form ?(params = default_params) ~program ~liveness ~profiler ~fresh_id
       | Ir.Block.Halt -> None
       | Ir.Block.Fallthrough next -> grow next (n_blocks + 1)
       | Ir.Block.Cond { cond; taken; fallthrough; taken_probability } ->
-        (* prefer profiled edge counts over the static hint: binary
-           images carry no hints at all (0.5 everywhere) *)
+        (* prefer profiled edge counts over the static hint: the hint
+           is a guess made before the run, the profile is measured *)
         let taken_probability =
           match
             Profiler.edge_bias profiler ~from_:label ~taken ~fallthrough

@@ -8,15 +8,14 @@ type t = {
   source : Superblock.t;
 }
 
-let make ~entry ~bundles ~final_exit ~ar_window ~assumed_no_alias
-    ?(certified_no_alias = []) ~source () =
+let make ~entry ~bundles ~final_exit ~ar_window ~assumed_no_alias ~source () =
   {
     entry;
     bundles;
     final_exit;
     ar_window;
     assumed_no_alias;
-    certified_no_alias;
+    certified_no_alias = [];
     source;
   }
 

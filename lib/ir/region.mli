@@ -31,10 +31,11 @@ val make :
   final_exit:Instr.label option ->
   ar_window:int ->
   assumed_no_alias:(int * int) list ->
-  ?certified_no_alias:(int * int) list ->
   source:Superblock.t ->
   unit ->
   t
+(** A region with no certified pairs: [certified_no_alias] is filled
+    in afterwards, only when the alias certifier runs. *)
 
 val schedule_length : t -> int
 (** Number of issue cycles. *)

@@ -173,7 +173,7 @@ let known_with_pins entry =
    [sample_stride]-th built or re-optimized region is verified *)
 let sample_stride = 8
 
-let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
+let run ?(config = Vliw.Config.default)
     ?(hot_threshold = 50) ?(max_reopts = 10) ?(fuel = 2_000_000)
     ?(unroll = 1) ?(tcache_policy = Tcache.Policy.Unbounded)
     ?tcache_capacity ?tcache ?watchdog ?(hooks = no_hooks)
@@ -301,13 +301,7 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
   in
   let build_region label =
     let sb =
-      Frontend.Region_form.form
-        ~params:
-          {
-            Frontend.Region_form.max_blocks;
-            min_bias = Frontend.Region_form.default_params.Frontend.Region_form.min_bias;
-          }
-        ~program ~liveness ~profiler ~fresh_id label
+      Frontend.Region_form.form ~program ~liveness ~profiler ~fresh_id label
     in
     let sb =
       if unroll > 1 then

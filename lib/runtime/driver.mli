@@ -101,7 +101,6 @@ val no_hooks : hooks
 
 val run :
   ?config:Vliw.Config.t ->
-  ?max_blocks:int ->
   ?hot_threshold:int ->
   ?max_reopts:int ->
   ?fuel:int ->

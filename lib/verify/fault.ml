@@ -21,7 +21,6 @@ type plan = {
   prng : Prng.t;
   seed : int;
   rate : float;
-  storm_length : int;
   mode : mode;
   counters : counters;
   mutable total : int;
@@ -37,12 +36,14 @@ type plan = {
   mutable last_violation : Hw.Detector.violation option;
 }
 
-let make ~seed ~rate ~storm_length ~mode =
+(* consecutive region executions a random campaign's storm covers *)
+let storm_length = 16
+
+let make ~seed ~rate ~mode =
   {
     prng = Prng.create ~seed;
     seed;
     rate = Float.max 0.0 (Float.min 1.0 rate);
-    storm_length = max 2 storm_length;
     mode;
     counters =
       {
@@ -54,7 +55,7 @@ let make ~seed ~rate ~storm_length ~mode =
       };
     total = 0;
     (* a forced storm is armed from the first region execution *)
-    storm_left = (match mode with Forced_storm -> max 2 storm_length | Random -> 0);
+    storm_left = (match mode with Forced_storm -> max_int | Random -> 0);
     sticky_pair = None;
     pending = None;
     target = 0;
@@ -63,11 +64,8 @@ let make ~seed ~rate ~storm_length ~mode =
     last_violation = None;
   }
 
-let plan ?(storm_length = 16) ~seed ~rate () =
-  make ~seed ~rate ~storm_length ~mode:Random
-
-let forced_storm ?(length = max_int) ~seed () =
-  make ~seed ~rate:1.0 ~storm_length:length ~mode:Forced_storm
+let plan ~seed ~rate () = make ~seed ~rate ~mode:Random
+let forced_storm ~seed () = make ~seed ~rate:1.0 ~mode:Forced_storm
 
 let seed p = p.seed
 let rate p = p.rate
@@ -98,7 +96,7 @@ let decide_region p =
           | 6 | 7 | 8 -> Repeat_pair
           | _ -> Storm
         in
-        if k = Storm then p.storm_left <- p.storm_length - 1;
+        if k = Storm then p.storm_left <- storm_length - 1;
         p.pending <- Some k;
         p.target <- Prng.int p.prng 8
       end

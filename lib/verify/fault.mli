@@ -26,7 +26,7 @@
 type kind =
   | Spurious  (** one violation on a fresh pair *)
   | Repeat_pair  (** a violation on the campaign's sticky pair *)
-  | Storm  (** arm [storm_length] consecutive sticky-pair violations *)
+  | Storm  (** arm 16 consecutive sticky-pair violations *)
   | Tcache_invalidate
   | Tcache_flush
 
@@ -40,22 +40,20 @@ type counters = {
 
 type plan
 
-val plan : ?storm_length:int -> seed:int -> rate:float -> unit -> plan
+val plan : seed:int -> rate:float -> unit -> plan
 (** A random campaign: each region execution injects a detector fault
     with probability [rate], choosing among {!Spurious},
     {!Repeat_pair} and {!Storm}; each block dispatch injects a
-    translation-cache fault with probability [rate /. 8].
-    [storm_length] (default 16, clamped to >= 2) is how many
-    consecutive region executions a storm covers — make it exceed the
-    driver's [max_reopts] to reach the give-up rung and its [watchdog]
-    to reach degradation.  [rate] is clamped to [0, 1]. *)
+    translation-cache fault with probability [rate /. 8].  A storm
+    covers 16 consecutive region executions, more than the driver's
+    default [max_reopts], so it reaches the give-up rung.  [rate] is
+    clamped to [0, 1]. *)
 
-val forced_storm : ?length:int -> seed:int -> unit -> plan
+val forced_storm : seed:int -> unit -> plan
 (** A campaign that does nothing but storm: every region execution
-    faults on the sticky pair ([length] default [max_int], i.e.
-    forever).  Drives one hot region through the entire recovery
-    ladder — the unit-test harness for known-alias → pin → give-up →
-    degrade. *)
+    faults on the sticky pair, forever.  Drives one hot region through
+    the entire recovery ladder — the unit-test harness for known-alias
+    → pin → give-up → degrade. *)
 
 val seed : plan -> int
 val rate : plan -> float

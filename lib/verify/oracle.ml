@@ -25,11 +25,8 @@ let reference ?(fuel = 200_000_000) program =
   ignore (Frontend.Interp.run ~fuel m program);
   m
 
-let run_scheme ?config ?(fuel = 1_000_000_000) ?tcache_policy
-    ?tcache_capacity ?watchdog ?fault ?verify ?certify ~scheme program =
-  let config =
-    match config with Some c -> c | None -> Smarq.config_for scheme
-  in
+let run_scheme ?(fuel = 1_000_000_000) ?tcache_policy ?tcache_capacity
+    ?fault ?verify ?certify ~scheme program =
   let driver_scheme = Smarq.Scheme.to_driver scheme in
   let driver_scheme, hooks, injected_before =
     match fault with
@@ -44,8 +41,8 @@ let run_scheme ?config ?(fuel = 1_000_000_000) ?tcache_policy
         Fault.total_injected plan )
   in
   let r =
-    Runtime.Driver.run ~config ~fuel ?tcache_policy ?tcache_capacity
-      ?watchdog ?hooks ?verify ?certify ~scheme:driver_scheme program
+    Runtime.Driver.run ~config:(Smarq.config_for scheme) ~fuel ?tcache_policy
+      ?tcache_capacity ?hooks ?verify ?certify ~scheme:driver_scheme program
   in
   let injected =
     match fault with
@@ -54,9 +51,9 @@ let run_scheme ?config ?(fuel = 1_000_000_000) ?tcache_policy
   in
   (r, injected)
 
-let check ?config ?fuel ?interp_fuel ?watchdog ?fault ?verify ?certify
-    ?(seed = 1) ?(rate = 0.05) ?(name = "program") ~schemes program =
-  let oracle = reference ?fuel:interp_fuel program in
+let check ?fuel ?fault ?verify ?certify ?(seed = 1) ?(rate = 0.05)
+    ?(name = "program") ~schemes program =
+  let oracle = reference program in
   let entries =
     List.map
       (fun scheme ->
@@ -64,8 +61,7 @@ let check ?config ?fuel ?interp_fuel ?watchdog ?fault ?verify ?certify
           Option.map (fun mk -> mk ~seed ~rate ()) fault
         in
         let r, injected =
-          run_scheme ?config ?fuel ?watchdog ?fault:plan ?verify ?certify
-            ~scheme program
+          run_scheme ?fuel ?fault:plan ?verify ?certify ~scheme program
         in
         let divergence =
           match r.Runtime.Driver.outcome with

@@ -44,11 +44,9 @@ val reference : ?fuel:int -> Ir.Program.t -> Vliw.Machine.t
     instructions, default 200,000,000). *)
 
 val run_scheme :
-  ?config:Vliw.Config.t ->
   ?fuel:int ->
   ?tcache_policy:Tcache.Policy.t ->
   ?tcache_capacity:int ->
-  ?watchdog:int ->
   ?fault:Fault.plan ->
   ?verify:Check.Verifier.mode ->
   ?certify:bool ->
@@ -58,14 +56,11 @@ val run_scheme :
 (** One optimized run, with [fault]'s detector wrapper and driver
     hooks installed when given.  Returns the driver result and the
     number of faults the plan injected {e during this run}.  [fuel]
-    (guest blocks, default 1e9) and [config] (default: derived from
-    the scheme) as in [Smarq.run_program]. *)
+    is in guest blocks (default 1e9); the machine configuration is the
+    scheme's own ([Smarq.config_for]). *)
 
 val check :
-  ?config:Vliw.Config.t ->
   ?fuel:int ->
-  ?interp_fuel:int ->
-  ?watchdog:int ->
   ?fault:(seed:int -> rate:float -> unit -> Fault.plan) ->
   ?verify:Check.Verifier.mode ->
   ?certify:bool ->

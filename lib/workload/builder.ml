@@ -29,8 +29,9 @@ let loop_back t lbl body ~counter ~back_to ~exit_to ~iters =
     instr t (Ir.Instr.Binop (Ir.Instr.Sub, counter, Ir.Instr.Reg counter,
                              Ir.Instr.Imm 1))
   in
-  (* R31 is the conventional assembler temporary: guest binaries must
-     not contain optimizer temps, which have no binary encoding *)
+  (* the loop condition lives in guest register R31: optimizer
+     temporaries are named by fresh instruction ids the optimizer hands
+     out, so guest code never uses them *)
   let cond_reg = Ir.Reg.R 31 in
   let cmp =
     instr t

@@ -125,14 +125,14 @@ let rmw bld regs ?(disp0 = 0) ?(chain = 1) ~width ~updates () =
   done;
   List.rev !ops
 
-let alias_probe bld regs ?(slow = 3) ~width ~period_log2 ~store () =
+let alias_probe bld regs ~width ~period_log2 ~store () =
   let ops = ref [] in
   let emit op = ops := Builder.instr bld op :: !ops in
   let cur = Ir.Reg.R 25 and t = Ir.Reg.R 26 in
-  (* a slow store to A[0]: its datum needs an FP chain, so a cheap
-     access can overtake it under speculation *)
+  (* a slow store to A[0]: its datum needs a three-multiply FP chain,
+     so a cheap access can overtake it under speculation *)
   let slow_reg = freg 28 in
-  for _ = 1 to slow do
+  for _ = 1 to 3 do
     emit (I.Fbinop (I.Fmul, slow_reg, I.Reg slow_reg, I.Reg slow_reg))
   done;
   emit (I.Store { src = I.Reg slow_reg; addr = Builder.addr regs.a 0; width;

@@ -55,8 +55,8 @@ val rmw :
     anti-constraints keep the benign pair check-free. *)
 
 val alias_probe :
-  Builder.t -> regs -> ?slow:int -> width:int -> period_log2:int ->
-  store:bool -> unit -> Ir.Instr.t list
+  Builder.t -> regs -> width:int -> period_log2:int -> store:bool -> unit ->
+  Ir.Instr.t list
 (** A slow store to A[0] followed by a cheap probe access through a
     base precomputed by the previous iteration; the probe overtakes the
     slow store under speculation and genuinely collides with it every

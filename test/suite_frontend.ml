@@ -201,6 +201,69 @@ let test_region_max_blocks () =
   Alcotest.(check (option string)) "exits into the rest" (Some "b4")
     sb.Ir.Superblock.final_exit
 
+let test_edge_profiling_recovers_bias () =
+  let pr = Frontend.Profiler.create () in
+  Alcotest.(check bool) "no verdict before samples" true
+    (Frontend.Profiler.edge_bias pr ~from_:"a" ~taken:"t" ~fallthrough:"f"
+    = None);
+  for _ = 1 to 30 do
+    Frontend.Profiler.note_edge pr "a" "t"
+  done;
+  for _ = 1 to 10 do
+    Frontend.Profiler.note_edge pr "a" "f"
+  done;
+  match Frontend.Profiler.edge_bias pr ~from_:"a" ~taken:"t" ~fallthrough:"f"
+  with
+  | Some bias -> Alcotest.(check (float 0.01)) "bias" 0.75 bias
+  | None -> Alcotest.fail "expected a verdict"
+
+(* The same program with every static branch hint replaced by a coin
+   flip. *)
+let strip_hints p =
+  Ir.Program.make ~entry:p.Ir.Program.entry
+    (List.map
+       (fun (b : Ir.Block.t) ->
+         match b.Ir.Block.terminator with
+         | Ir.Block.Cond c ->
+           Ir.Block.make ~label:b.Ir.Block.label ~body:b.Ir.Block.body
+             (Ir.Block.Cond { c with taken_probability = 0.5 })
+         | Ir.Block.Fallthrough _ | Ir.Block.Halt -> b)
+       (Ir.Program.blocks p))
+
+let test_profile_overrides_stripped_hints () =
+  (* static hints are guesses and the edge profile is measured: region
+     formation must follow the profile, so stripping every hint leaves
+     the optimized run cycle-for-cycle unchanged *)
+  let cycles prog =
+    (Smarq.run_program ~fuel:200_000_000 ~scheme:(Smarq.Scheme.Smarq 64)
+       prog).Runtime.Driver.stats.Runtime.Stats.total_cycles
+  in
+  List.iter
+    (fun (b : Workload.Specfp.bench) ->
+      let p = Workload.Specfp.program ~scale:2 b in
+      Alcotest.(check int)
+        (b.Workload.Specfp.name ^ " cycles without hints")
+        (cycles p)
+        (cycles (strip_hints p)))
+    Workload.Specfp.suite
+
+let test_stripped_equivalence_all_schemes () =
+  (* whatever regions the profile forms on a hint-stripped program,
+     every scheme must still leave the interpreter's guest state *)
+  let stripped =
+    strip_hints (Workload.Specfp.program (Workload.Specfp.find "art"))
+  in
+  let ref_m = Vliw.Machine.create () in
+  ignore (Frontend.Interp.run ~fuel:100_000_000 ref_m stripped);
+  List.iter
+    (fun scheme ->
+      let r = Smarq.run_program ~fuel:100_000_000 ~scheme stripped in
+      if not (Vliw.Machine.equal_guest_state ref_m r.Runtime.Driver.machine)
+      then
+        Alcotest.failf "hint-stripped art diverged under %s"
+          (Smarq.Scheme.name scheme))
+    [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Alat; Smarq.Scheme.None_ ]
+
 let suite =
   ( "frontend",
     [
@@ -213,4 +276,10 @@ let suite =
       case "region formation preserves semantics"
         test_region_formation_semantics_preserved;
       case "region formation respects max blocks" test_region_max_blocks;
+      case "edge profiling recovers branch bias"
+        test_edge_profiling_recovers_bias;
+      case "profiled bias replaces stripped hints"
+        test_profile_overrides_stripped_hints;
+      case "stripped programs stay equivalent, all schemes"
+        test_stripped_equivalence_all_schemes;
     ] )

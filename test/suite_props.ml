@@ -167,21 +167,6 @@ let prop_dynamic_system_equivalent (seed, loops, iters) =
     [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Smarq 16; Smarq.Scheme.Alat;
       Smarq.Scheme.None_ ]
 
-(* Binary roundtrip: assembling and disassembling any generated guest
-   program preserves behaviour exactly. *)
-let prop_binary_roundtrip (seed, loops, iters) =
-  let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
-  let decoded = Binary.Codec.disassemble (Binary.Codec.assemble program) in
-  (match Ir.Program.validate decoded with
-  | Ok () -> ()
-  | Error m -> QCheck.Test.fail_report m);
-  let run p =
-    let m = Vliw.Machine.create () in
-    ignore (Frontend.Interp.run ~fuel:50_000_000 m p);
-    m
-  in
-  Vliw.Machine.equal_guest_state (run program) (run decoded)
-
 (* For reorder-only speculation (the only thing program-order
    allocation supports at all), SMARQ's constraint-order window never
    exceeds the naive greedy-rotation window.  Eliminations are excluded
@@ -282,8 +267,6 @@ let suite =
       qcase ~count:60 "window fits 16 registers" sb_arb prop_window_fits_16;
       qcase ~count:12 "dynamic system equals interpreter" prog_arb
         prop_dynamic_system_equivalent;
-      qcase ~count:25 "binary roundtrip preserves behaviour" prog_arb
-        prop_binary_roundtrip;
       qcase ~count:40 "SMARQ window never exceeds program order" sb_arb
         prop_naive_window_dominates;
       qcase ~count:300 "tcache capacity never exceeded" tcache_ops_arb

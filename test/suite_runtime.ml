@@ -221,7 +221,25 @@ let test_scheme_parsing () =
     (Smarq.Scheme.name (Smarq.Scheme.of_string "Itanium"));
   Alcotest.check_raises "unknown scheme"
     (Invalid_argument "unknown scheme \"bogus\"") (fun () ->
-      ignore (Smarq.Scheme.of_string "bogus"))
+      ignore (Smarq.Scheme.of_string "bogus"));
+  let module S = Smarq.Scheme in
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) ("name roundtrips: " ^ S.name t) true
+        (S.of_string (S.name t) = t))
+    [
+      S.Smarq 64; S.Smarq 1; S.Smarq 1024; S.Smarq_no_store_reorder 64;
+      S.Naive_order 16; S.Alat; S.Efficeon; S.None_; S.None_static;
+    ];
+  List.iter
+    (fun s ->
+      match S.of_string s with
+      | exception Invalid_argument _ -> ()
+      | t -> Alcotest.failf "%S accepted as %s" s (S.name t))
+    [
+      "smarq0"; "naive0"; "smarq-1"; "smarq-nosr"; "smarq+5"; "smarq0x10";
+      "smarq1025"; "naive1025"; "smarq99999999999999999999";
+    ]
 
 (* A machine with fewer alias registers than the scheme allocates: the
    executor rejects every speculated region before it runs, and the
